@@ -21,6 +21,17 @@ from emit_json import write_benchmark_json  # noqa: E402
 #: are reproducible bit-for-bit.
 STUDY_SEED = 2002
 
+#: Bench modules whose medians go into ``BENCH_substrate.json``.  Every
+#: bench ``scripts/bench_compare.py`` guards must live in one of them,
+#: or the gate has no baseline to compare it against.
+EXPORTED_MODULES = (
+    "bench_substrate_micro",
+    "bench_cc_abr",
+    "bench_repair",
+    "bench_streaming_fold",
+    "bench_flowlevel",
+)
+
 
 @pytest.fixture(scope="session")
 def study():
@@ -28,22 +39,25 @@ def study():
     return get_study(seed=STUDY_SEED, duration_scale=1.0)
 
 
+def bench_module(fullname: str) -> str:
+    """``benchmarks/bench_x.py::test_y`` -> ``bench_x``."""
+    path = fullname.split("::", 1)[0]
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Write substrate microbenchmark medians as a JSON artifact.
 
-    Only the substrate benches are exported (``BENCH_SUBSTRATE_JSON``
-    names the path, default ``BENCH_substrate.json`` in the rootdir);
-    runs with ``--benchmark-disable`` produce no stats and write
-    nothing.
+    Only benches of :data:`EXPORTED_MODULES` are exported
+    (``BENCH_SUBSTRATE_JSON`` names the path, default
+    ``BENCH_substrate.json`` in the rootdir); runs with
+    ``--benchmark-disable`` produce no stats and write nothing.
     """
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None:
         return
     substrate = [bench for bench in bench_session.benchmarks
-                 if "bench_substrate_micro" in bench.fullname
-                 or "bench_cc_abr" in bench.fullname
-                 or "bench_streaming_fold" in bench.fullname
-                 or "bench_flowlevel" in bench.fullname]
+                 if bench_module(bench.fullname) in EXPORTED_MODULES]
     path = os.environ.get(
         "BENCH_SUBSTRATE_JSON",
         os.path.join(str(session.config.rootdir), "BENCH_substrate.json"))

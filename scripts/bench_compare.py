@@ -5,16 +5,18 @@ CI times the substrate microbenchmarks into ``BENCH_substrate.ci.json``
 and runs this script against the committed ``BENCH_substrate.json``.
 A regression of more than ``--threshold`` (default 25%) on a *guarded*
 benchmark — the event-loop bench and the end-to-end study benches —
-fails the build; every other bench is reported but only advisory, and
-a bench present on one side only is reported as such.
+fails the build; every other bench is reported but only advisory.  A
+guarded bench missing from either side also fails the build (a gate
+with nothing to compare must not pass silently); an advisory bench on
+one side only is just reported.
 
 Usage::
 
     python scripts/bench_compare.py BASELINE.json FRESH.json \
         [--threshold 0.25]
 
-Exits 0 when no guarded bench regressed past the threshold, 1 with one
-line per offending bench when one did.
+Exits 0 when every guarded bench is on both sides and none regressed
+past the threshold, 1 with one line per offending bench otherwise.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ def main(argv=None) -> int:
         guarded = name in GUARDED
         tag = "guarded" if guarded else "advisory"
         if old is None:
-            print(f"  {name}: new bench, no baseline ({new:.6f}s)")
+            print(f"  {name}: new bench, no baseline ({new:.6f}s) [{tag}]")
+            if guarded:
+                failures.append(f"{name}: guarded bench has no baseline")
             continue
         if new is None:
             print(f"  {name}: missing from fresh run [{tag}]")

@@ -52,10 +52,28 @@ invocation in a fresh process skips the simulation entirely.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
 from repro._version import __version__
+
+
+class _BadArgument(Exception):
+    """Bad option value; :func:`main` returns 2, as for handler checks
+    (``argparse.ArgumentTypeError`` would exit the process instead)."""
+
+
+def _scale(text: str) -> float:
+    """``--scale`` type: a finite, positive float (no nan/inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise _BadArgument(
+            f"--scale must be a finite positive number, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     study = commands.add_parser(
         "study", help="run the full Table 1 sweep and print the report")
     study.add_argument("--seed", type=int, default=2002)
-    study.add_argument("--scale", type=float, default=1.0,
+    study.add_argument("--scale", type=_scale, default=1.0,
                        help="clip duration scale (use <1 for a fast run)")
     study.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep "
@@ -102,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("figure_id",
                         help="fig01..fig15, table1, or sec4")
     figure.add_argument("--seed", type=int, default=2002)
-    figure.add_argument("--scale", type=float, default=1.0)
+    figure.add_argument("--scale", type=_scale, default=1.0)
     figure.add_argument("--plots", action="store_true")
     figure.add_argument("--csv", help="also write the data as CSV")
 
@@ -127,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scorecard", help="check every paper claim; nonzero on failure "
                           "(--modern: then-vs-now transport comparison)")
     scorecard.add_argument("--seed", type=int, default=2002)
-    scorecard.add_argument("--scale", type=float, default=1.0)
+    scorecard.add_argument("--scale", type=_scale, default=1.0)
     scorecard.add_argument("--modern", action="store_true",
                            help="compare the 2002 transports against "
                                 "AIMD / delay-gradient congestion "
@@ -146,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry", help="run the Table 1 sweep with telemetry enabled "
                           "and summarize/export what it saw")
     telemetry.add_argument("--seed", type=int, default=2002)
-    telemetry.add_argument("--scale", type=float, default=1.0,
+    telemetry.add_argument("--scale", type=_scale, default=1.0,
                            help="clip duration scale (use <1 for a fast run)")
     telemetry.add_argument("--jobs", type=int, default=1,
                            help="worker processes for the sweep (0 = one "
@@ -174,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spans", help="run the sweep with span tracing; print per-hop "
                       "waterfalls and the latency-attribution table")
     spans.add_argument("--seed", type=int, default=2002)
-    spans.add_argument("--scale", type=float, default=1.0,
+    spans.add_argument("--scale", type=_scale, default=1.0,
                        help="clip duration scale (use <1 for a fast run)")
     spans.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep (0 = one per "
@@ -200,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="list_scenarios",
                         help="list the known scenarios and exit")
     faults.add_argument("--seed", type=int, default=2002)
-    faults.add_argument("--scale", type=float, default=0.25,
+    faults.add_argument("--scale", type=_scale, default=0.25,
                         help="clip duration scale (default 0.25: the "
                              "scenario's event times scale with it)")
     faults.add_argument("--events",
@@ -219,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="list_controllers",
                     help="list the known controllers and exit")
     cc.add_argument("--seed", type=int, default=2002)
-    cc.add_argument("--scale", type=float, default=0.12,
+    cc.add_argument("--scale", type=_scale, default=0.12,
                     help="clip duration scale (default 0.12: one short "
                          "set is enough to watch a controller move)")
     cc.add_argument("--set", type=int, default=3, dest="set_number",
@@ -229,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repair", help="run one clip set with the loss-repair stack "
                        "armed and print the repair/QoE report")
     repair.add_argument("--seed", type=int, default=2002)
-    repair.add_argument("--scale", type=float, default=0.12,
+    repair.add_argument("--scale", type=_scale, default=0.12,
                         help="clip duration scale (default 0.12: one "
                              "short set is enough to watch repair work)")
     repair.add_argument("--set", type=int, default=3, dest="set_number",
@@ -252,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="check a seeded study against the runtime "
                          "invariant catalog; nonzero on any violation")
     validate.add_argument("--seed", type=int, default=2002)
-    validate.add_argument("--scale", type=float, default=0.25,
+    validate.add_argument("--scale", type=_scale, default=0.25,
                           help="clip duration scale (default 0.25: the "
                                "invariants hold at any scale)")
     validate.add_argument("--set", type=int, default=None, dest="set_number",
@@ -347,9 +365,7 @@ def _usage_error(message: str) -> int:
 
 
 def _check_sweep_args(args: argparse.Namespace) -> Optional[int]:
-    """Shared ``--scale`` / ``--jobs`` sanity for the sweep commands."""
-    if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
+    """Shared ``--jobs`` sanity for the sweep commands."""
     if getattr(args, "jobs", 0) < 0:
         return _usage_error(f"--jobs must be >= 0, got {args.jobs}")
     return None
@@ -504,8 +520,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         print(f"unknown figure {args.figure_id!r}; choose from: "
               f"{', '.join(sorted(ALL_FIGURES))}", file=sys.stderr)
         return 2
-    if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
     study = run_study(seed=args.seed, duration_scale=args.scale)
     result = generator(study)
     print(result.render(plot=args.plots))
@@ -698,8 +712,6 @@ def _cmd_cc(args: argparse.Namespace) -> int:
         config = CcConfig(kind=args.controller)
     except ReproError as exc:
         return _usage_error(f"error: {exc}")
-    if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
 
     full = build_table1_library(duration_scale=args.scale)
     try:
@@ -983,10 +995,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.scale <= 0:
-        print(f"--scale must be positive, got {args.scale}",
-              file=sys.stderr)
-        return 2
 
     library = build_table1_library(duration_scale=args.scale)
     clip_set, pair = library.all_pairs()[0]
@@ -1037,8 +1045,6 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     from repro.telemetry import MemorySink, Telemetry
     from repro.telemetry.streaming import StreamingSummary
 
-    if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
     try:
         config = RepairConfig(fec_group=args.fec_group,
                               nack=not args.no_nack)
@@ -1124,8 +1130,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         run_differential,
     )
 
-    if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
     if args.jobs < 0:
         return _usage_error(f"--jobs must be >= 0, got {args.jobs}")
 
@@ -1355,7 +1359,10 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _BadArgument as exc:
+        return _usage_error(str(exc))
     return _HANDLERS[args.command](args)
 
 

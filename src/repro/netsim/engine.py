@@ -10,7 +10,7 @@ given seed — a property the test suite relies on heavily.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.netsim.rng import RandomStreams
@@ -29,11 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, sequence)`` so the heap pops them in
-    deterministic order.  The callback and its arguments do not take
-    part in comparisons.  A slotted plain class rather than a
-    dataclass: the event loop constructs and compares these millions
-    of times per study.
+    The simulator's heap holds ``(time, sequence, event)`` tuples, so
+    ordering is decided by tuple comparison in C; ``sequence`` is
+    unique, so the event itself is never compared.  A slotted plain
+    class rather than a dataclass: the event loop constructs these
+    millions of times per study.
     """
 
     __slots__ = ("time", "sequence", "callback", "args", "cancelled",
@@ -52,11 +52,6 @@ class Event:
         self.consumed = False
         #: Owning simulator, for live pending-event accounting.
         self.owner = owner
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Event(time={self.time!r}, sequence={self.sequence!r}, "
@@ -110,7 +105,7 @@ class Simulator:
                  fast_path: Optional[object] = None) -> None:
         self.now: float = 0.0
         self.streams = RandomStreams(seed)
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._sequence = 0
         self._running = False
         self._event_count = 0
@@ -146,10 +141,9 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time:.6f}s; clock is at {self.now:.6f}s")
-        event = Event(time=time, sequence=self._sequence, callback=callback,
-                      args=args, owner=self)
+        event = Event(time, self._sequence, callback, args, self)
+        _heappush(self._heap, (time, self._sequence, event))
         self._sequence += 1
-        _heappush(self._heap, event)
         self._pending += 1
         return event
 
@@ -198,9 +192,10 @@ class Simulator:
             while heap:
                 if max_events is not None and executed >= max_events:
                     break
-                event = heap[0]
+                event = heap[0][2]
                 if event.cancelled:
-                    pop(heap).consumed = True
+                    pop(heap)
+                    event.consumed = True
                     continue
                 if until is not None and event.time > until:
                     break
@@ -228,7 +223,7 @@ class Simulator:
             True if an event ran, False if the heap was empty.
         """
         while self._heap:
-            event = _heappop(self._heap)
+            event = _heappop(self._heap)[2]
             if event.cancelled:
                 event.consumed = True
                 continue

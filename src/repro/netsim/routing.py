@@ -9,7 +9,7 @@ topologies (server farm + campus network) unambiguous.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.netsim.addressing import IPAddress, Subnet
@@ -25,16 +25,21 @@ class RoutingTable:
     def __init__(self) -> None:
         self._entries: List[Tuple[Subnet, "Node"]] = []
         self._default: Optional["Node"] = None
+        #: destination.value -> next hop of a past hit (never a miss);
+        #: cleared by every mutator below.
+        self._memo: Dict[int, "Node"] = {}
 
     def add_route(self, subnet: Subnet, next_hop: "Node") -> None:
         """Route traffic for ``subnet`` via ``next_hop``."""
         self._entries.append((subnet, next_hop))
         # Keep longest prefixes first so lookup can return the first hit.
         self._entries.sort(key=lambda entry: entry[0].prefix_len, reverse=True)
+        self._memo.clear()
 
     def set_default(self, next_hop: "Node") -> None:
         """Fallback next hop when no subnet matches."""
         self._default = next_hop
+        self._memo.clear()
 
     def lookup(self, destination: IPAddress) -> "Node":
         """Next hop for ``destination``.
@@ -42,12 +47,18 @@ class RoutingTable:
         Raises:
             RoutingError: when nothing matches and no default is set.
         """
+        next_hop = self._memo.get(destination.value)
+        if next_hop is not None:
+            return next_hop
         for subnet, next_hop in self._entries:
             if destination in subnet:
-                return next_hop
-        if self._default is not None:
-            return self._default
-        raise RoutingError(f"no route to {destination}")
+                break
+        else:
+            next_hop = self._default
+            if next_hop is None:
+                raise RoutingError(f"no route to {destination}")
+        self._memo[destination.value] = next_hop
+        return next_hop
 
     def replace(self, entries: List[Tuple[Subnet, "Node"]],
                 default: Optional["Node"] = None) -> None:
@@ -62,6 +73,7 @@ class RoutingTable:
                                key=lambda entry: entry[0].prefix_len,
                                reverse=True)
         self._default = default
+        self._memo.clear()
 
     def __len__(self) -> int:
         return len(self._entries) + (1 if self._default else 0)

@@ -308,6 +308,42 @@ class TestBadArgumentExitCodes:
         assert excinfo.value.code == 2
 
 
+class TestNonFiniteScale:
+    """``--scale`` rejects nan/inf at parse time, on every command."""
+
+    COMMANDS = [["study"], ["telemetry"], ["spans"], ["figure", "fig02"],
+                ["scorecard"], ["faults", "link-flap"], ["cc", "aimd"],
+                ["repair"], ["validate"]]
+
+    @pytest.mark.parametrize("command", COMMANDS,
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN",
+                                       "1e999", "abc"])
+    def test_non_finite_scale_exits_two(self, command, value, capsys):
+        assert main(command + [f"--scale={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "--scale must be a finite positive number" in err
+        assert value in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_study_process_exits_two_without_traceback(self, value):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "study", "--scale", value],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "--scale must be a finite positive number" in result.stderr
+
+
 class TestStudyStreamingOptions:
     def test_progress_and_stream_jsonl(self, tmp_path, capsys):
         import json

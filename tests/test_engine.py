@@ -139,3 +139,42 @@ class TestDeterminism:
         assert child.master_seed != sim.streams.master_seed
         again = sim.streams.fork("run-1")
         assert again.master_seed == child.master_seed
+
+
+class TestCancelledHeapHead:
+    """Cancelled entries at the heap head must not disturb tie order."""
+
+    @staticmethod
+    def _schedule(sim, order):
+        early = [sim.schedule_at(1.0, order.append, f"dead{i}")
+                 for i in range(3)]
+        for name in "abcd":
+            sim.schedule_at(2.0, order.append, name)
+        ties = [sim.schedule_at(2.0, order.append, f"dead-tie{i}")
+                for i in range(2)]
+        sim.schedule_at(2.0, order.append, "e")
+        for event in early + ties:
+            event.cancel()
+        return early + ties
+
+    def test_run_keeps_scheduling_order(self):
+        sim = Simulator()
+        order = []
+        cancelled = self._schedule(sim, order)
+        assert sim.pending_events == 5
+        assert sim.run() == 5
+        assert order == list("abcde")
+        assert sim.pending_events == 0
+        assert all(event.consumed for event in cancelled)
+
+    def test_step_keeps_scheduling_order(self):
+        sim = Simulator()
+        order = []
+        self._schedule(sim, order)
+        steps = 0
+        while sim.step():
+            steps += 1
+        assert steps == 5
+        assert order == list("abcde")
+        assert sim.pending_events == 0
+        assert sim.executed_events == 5

@@ -1,10 +1,17 @@
 """Packet and header model tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import PacketError
 from repro.netsim.addressing import IPAddress
-from repro.netsim.headers import IPv4Header, IpProtocol, UdpHeader
+from repro.netsim.headers import (
+    IPv4Header,
+    IpProtocol,
+    PayloadMeta,
+    UdpHeader,
+)
 from repro.netsim.packet import Packet
 
 SRC = IPAddress.parse("64.14.118.1")
@@ -70,6 +77,27 @@ class TestPacket:
         assert forwarded.ip.ttl == 4
         assert forwarded.datagram_id == 99
         assert forwarded.transport is packet.transport
+
+    def test_forwarded_keeps_every_header_field_but_ttl(self):
+        header = make_header(ttl=9, identification=4321,
+                             more_fragments=True, fragment_offset=0)
+        udp = UdpHeader(src_port=1, dst_port=2, length=1480)
+        packet = Packet(ip=header, transport=udp,
+                        payload=PayloadMeta(media_time=1.5),
+                        datagram_id=12, span=object())
+        forwarded = packet.forwarded()
+        before = dataclasses.asdict(header)
+        after = dataclasses.asdict(forwarded.ip)
+        assert after.pop("ttl") == before.pop("ttl") - 1
+        assert after == before
+        assert type(forwarded.ip) is IPv4Header
+        assert forwarded.transport is packet.transport
+        assert forwarded.payload is packet.payload
+        assert forwarded.span is packet.span
+        assert forwarded.datagram_id == packet.datagram_id
+        # A fresh uid from the global counter, on every forward.
+        assert forwarded.uid > packet.uid
+        assert packet.forwarded().uid > forwarded.uid
 
     def test_forwarding_dead_packet_rejected(self):
         packet = Packet(ip=make_header(ttl=0))
