@@ -64,16 +64,24 @@ class _BadArgument(Exception):
     (``argparse.ArgumentTypeError`` would exit the process instead)."""
 
 
-def _scale(text: str) -> float:
-    """``--scale`` type: a finite, positive float (no nan/inf)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise _BadArgument(
-            f"--scale must be a finite positive number, got {text}")
-    return value
+def _finite(name: str, positive: bool = False):
+    """argparse type for ``name``: a finite float (no nan/inf), and
+    above zero when ``positive``."""
+    kind = "a finite positive number" if positive else "a finite number"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or (positive and value <= 0):
+            raise _BadArgument(f"{name} must be {kind}, got {text}")
+        return value
+
+    return parse
+
+
+_scale = _finite("--scale", positive=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,18 +135,25 @@ def build_parser() -> argparse.ArgumentParser:
     probe = commands.add_parser(
         "probe", help="TCP-friendliness probe (paper §VI)")
     probe.add_argument("family", choices=["real", "wmp"])
-    probe.add_argument("kbps", type=float)
-    probe.add_argument("loss", type=float, help="loss fraction, e.g. 0.05")
-    probe.add_argument("--rtt", type=float, default=0.200)
-    probe.add_argument("--duration", type=float, default=30.0)
+    probe.add_argument("kbps", type=_finite("kbps", positive=True))
+    probe.add_argument("loss", type=_finite("loss"),
+                       help="loss fraction, e.g. 0.05")
+    probe.add_argument("--rtt", type=_finite("--rtt", positive=True),
+                       default=0.200)
+    probe.add_argument("--duration",
+                       type=_finite("--duration", positive=True),
+                       default=30.0)
     probe.add_argument("--scaling", action="store_true",
                        help="enable media scaling with receiver reports")
 
     boundary = commands.add_parser(
         "boundary", help="multi-client egress study (paper §VI)")
     boundary.add_argument("--clients", type=int, default=4)
-    boundary.add_argument("--duration", type=float, default=40.0)
-    boundary.add_argument("--kbps", type=float, default=150.0)
+    boundary.add_argument("--duration",
+                          type=_finite("--duration", positive=True),
+                          default=40.0)
+    boundary.add_argument("--kbps", type=_finite("--kbps", positive=True),
+                          default=150.0)
     boundary.add_argument("--seed", type=int, default=2002)
 
     scorecard = commands.add_parser(
@@ -313,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--metric", default=None, dest="metrics",
                        help="comma-separated metrics to watch "
                             "(default: rebuffer_ratio,loss_rate)")
-    watch.add_argument("--z", type=float, default=3.0,
+    watch.add_argument("--z", type=_finite("--z"), default=3.0,
                        help="z-score threshold against the rolling "
                             "baseline (default 3.0)")
     watch.add_argument("--window", type=int, default=8,
@@ -321,12 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--min-baseline", type=int, default=3,
                        help="runs required before a rule may trip "
                             "(default 3)")
-    watch.add_argument("--min-delta", type=float, default=0.02,
+    watch.add_argument("--min-delta", type=_finite("--min-delta"),
+                       default=0.02,
                        help="absolute deviation floor so flat baselines "
                             "never page on numeric dust (default 0.02)")
     watch.add_argument("--follow", action="store_true",
                        help="keep tailing the file for appended records")
-    watch.add_argument("--idle-timeout", type=float, default=5.0,
+    watch.add_argument("--idle-timeout", type=_finite("--idle-timeout"),
+                       default=5.0,
                        help="with --follow: stop after this many "
                             "seconds without new records (default 5)")
 
@@ -345,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate = commands.add_parser(
         "generate", help="synthesize a Section IV flow")
     generate.add_argument("family", choices=["real", "wmp"])
-    generate.add_argument("kbps", type=float)
-    generate.add_argument("duration", type=float)
+    generate.add_argument("kbps", type=_finite("kbps", positive=True))
+    generate.add_argument("duration",
+                          type=_finite("duration", positive=True))
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--pcap", help="write the flow as libpcap")
     generate.add_argument("--csv", help="write the flow as trace CSV")
@@ -512,6 +530,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.errors import AnalysisError
     from repro.experiments.figures import ALL_FIGURES
     from repro.experiments.runner import run_study
 
@@ -521,7 +540,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
               f"{', '.join(sorted(ALL_FIGURES))}", file=sys.stderr)
         return 2
     study = run_study(seed=args.seed, duration_scale=args.scale)
-    result = generator(study)
+    try:
+        result = generator(study)
+    except AnalysisError as exc:
+        print(f"{args.figure_id}: n/a: {exc}", file=sys.stderr)
+        return 1
     print(result.render(plot=args.plots))
     if args.csv:
         with open(args.csv, "w") as stream:
@@ -534,16 +557,9 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.experiments.tcp_friendly import run_probe
     from repro.media.clip import PlayerFamily
 
-    if args.kbps <= 0:
-        return _usage_error(f"kbps must be positive, got {args.kbps}")
     if not 0.0 <= args.loss <= 1.0:
         return _usage_error(
             f"loss must be a fraction in [0, 1], got {args.loss}")
-    if args.rtt <= 0:
-        return _usage_error(f"--rtt must be positive, got {args.rtt}")
-    if args.duration <= 0:
-        return _usage_error(
-            f"--duration must be positive, got {args.duration}")
     family = (PlayerFamily.REAL if args.family == "real"
               else PlayerFamily.WMP)
     result = run_probe(family, args.kbps, loss_probability=args.loss,
@@ -571,11 +587,6 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
 
     if args.clients <= 0:
         return _usage_error(f"--clients must be positive, got {args.clients}")
-    if args.duration <= 0:
-        return _usage_error(
-            f"--duration must be positive, got {args.duration}")
-    if args.kbps <= 0:
-        return _usage_error(f"--kbps must be positive, got {args.kbps}")
     result = run_boundary_study(client_count=args.clients,
                                 duration=args.duration,
                                 encoded_kbps=args.kbps, seed=args.seed)
@@ -607,11 +618,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.media.clip import PlayerFamily
 
-    if args.kbps <= 0:
-        return _usage_error(f"kbps must be positive, got {args.kbps}")
-    if args.duration <= 0:
-        return _usage_error(
-            f"duration must be positive, got {args.duration}")
     family = (PlayerFamily.REAL if args.family == "real"
               else PlayerFamily.WMP)
     flow = generate_flow(family, args.kbps, args.duration, seed=args.seed)

@@ -73,10 +73,18 @@ def build_html_report(study: StudyResults) -> str:
     sections = []
     toc = ["<ul>"]
     for figure_id in sorted(ALL_FIGURES):
-        result = ALL_FIGURES[figure_id](study)
-        sections.append(_section_html(result))
+        try:
+            result = ALL_FIGURES[figure_id](study)
+        except AnalysisError as exc:
+            # Same n/a row as the text report (build_report).
+            title = f"n/a: {exc}"
+            sections.append(f'<h2 id="{figure_id}">{figure_id}</h2>'
+                            f"<p>{html.escape(title)}</p>")
+        else:
+            title = result.title
+            sections.append(_section_html(result))
         toc.append(f'<li><a href="#{figure_id}">{figure_id}: '
-                   f"{html.escape(result.title)}</a></li>")
+                   f"{html.escape(title)}</a></li>")
     toc.append("</ul>")
     body = "\n".join(sections)
     return (

@@ -11,16 +11,26 @@ import sys
 import time
 from typing import Optional, TextIO
 
+from repro.errors import AnalysisError
 from repro.experiments.cache import get_study
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import StudyResults
 
 
 def build_report(study: StudyResults, plots: bool = False) -> str:
-    """Render every artifact's rows and findings as one document."""
+    """Render every artifact's rows and findings as one document.
+
+    An artifact whose analysis cannot run on this study (clips too
+    short for Fig. 10's buffering phase, say) renders as one
+    ``n/a: <reason>`` row instead of aborting the whole report.
+    """
     sections = []
     for figure_id in sorted(ALL_FIGURES):
-        result = ALL_FIGURES[figure_id](study)
+        try:
+            result = ALL_FIGURES[figure_id](study)
+        except AnalysisError as exc:
+            sections.append(f"== {figure_id} ==\nn/a: {exc}")
+            continue
         sections.append(result.render(plot=plots))
     return "\n\n".join(sections)
 

@@ -41,13 +41,12 @@ virtual occupancy waits it out, so mixed traffic never reorders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro import units
 from repro.errors import SimulationError
 from repro.netsim.headers import IpProtocol
-from repro.netsim.link import LossModel, _Direction
+from repro.netsim.link import LossModel, _Direction, no_jitter
 from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue
 
@@ -270,7 +269,9 @@ class FlowLevelDirector:
         link mutator (each of which bumps ``sim.topology_epoch``):
         administrative state, loss model, queue object, bandwidth,
         propagation, jitter callable, queue capacity.  The dynamic loop
-        in :meth:`try_deliver` then touches only per-train state.
+        in :meth:`try_deliver` then touches only per-train state.  A
+        :func:`~repro.netsim.link.no_jitter` direction stores None, so
+        the fold uses zeros instead of calling it once per packet.
         """
         profile = []
         for direction in directions:
@@ -282,10 +283,11 @@ class FlowLevelDirector:
             queue = direction._queue
             if type(queue) is not DropTailQueue:
                 return None, REASON_CONTENTION
+            jitter = direction._jitter
             profile.append((direction, direction._bandwidth_bps,
                             direction._propagation_delay,
-                            direction._jitter, queue, queue._queue,
-                            queue.capacity_bytes))
+                            None if jitter is no_jitter else jitter,
+                            queue, queue._queue, queue.capacity_bytes))
         return profile, None
 
     def _walk_path(self, host: "Host", dst) -> Optional[tuple]:
@@ -361,7 +363,12 @@ class FlowLevelDirector:
         strict = self.config.strict
         train_bytes = sum(packet.ip_bytes for packet in packets)
         wires = tuple(packet.wire_bytes for packet in packets)
+        zeros = (0.0,) * count
+        # Most trains are one packet; those fold as scalars below.
+        single = count == 1
+        wire = wires[0]
         entries: Sequence[float] = [now] * count
+        entry = now  # entries[0], the train's first entry at each hop
         # One pass per direction: dynamic eligibility (statics were
         # settled by the profile above), then the speculative analytic
         # schedule.  Direction state mutates only in the commit phase
@@ -384,9 +391,10 @@ class FlowLevelDirector:
                 # The event path would tail-drop part of this train;
                 # the analytic model delivers everything, so refuse.
                 return self._refuse(packets, REASON_CONTENTION)
-            if entries[0] < direction._fp_last_entry:
+            if entry < direction._fp_last_entry:
                 return self._refuse(packets, REASON_INTERLEAVE)
-            jitters = tuple([jitter() for _ in range(count)])
+            jitters = (zeros if jitter is None
+                       else tuple([jitter() for _ in range(count)]))
             # Chain the departure recursion through everything the
             # serializer is already committed to: prior reservations,
             # the in-service real packet (departure pinned by
@@ -407,12 +415,28 @@ class FlowLevelDirector:
                     prev_dep=prev_dep,
                     last_delivery=last_delivery,
                     jitters=jitters))
+            if single:
+                # train_schedule for one packet, inlined as scalars:
+                # the same float operations in the same order, without
+                # a call and two lists per hop.  The ledger refold runs
+                # the real kernel, so validated runs check this branch.
+                dep = entry if entry > prev_dep else prev_dep
+                dep = dep + wire * 8.0 / bandwidth
+                extra = jitters[0]
+                arrival = dep + propagation + (extra if extra > 0.0
+                                               else 0.0)
+                if arrival < last_delivery:
+                    arrival = last_delivery
+                commits.append((entry, dep, arrival))
+                entry = arrival
+                continue
             arrivals, dep_last, last_delivery = train_schedule(
                 entries, wires, bandwidth, propagation,
                 prev_dep, last_delivery, jitters)
             commits.append((entries[-1], dep_last, last_delivery))
             entries = arrivals
-        arrivals = list(entries)
+            entry = arrivals[0]
+        arrivals = [entry] if single else list(entries)
         if self._blackouts and self._blacked_out(now, arrivals[-1]):
             return self._refuse(packets, REASON_BLACKOUT)
 
@@ -452,7 +476,7 @@ class FlowLevelDirector:
         finish = self._finish_virtual
         for packet, arrival in zip(packets, arrivals):
             delivered = packet if hops == 0 else Packet(
-                ip=replace(packet.ip, ttl=packet.ip.ttl - hops),
+                ip=packet.ip.decremented(hops),
                 transport=packet.transport, payload=packet.payload,
                 datagram_id=packet.datagram_id, span=packet.span)
             schedule_at(arrival, finish, final, delivered)
@@ -495,9 +519,10 @@ class _PathEntry:
 
     ``profile`` is a list of per-direction tuples ``(direction,
     bandwidth_bps, propagation, jitter, queue, backlog_deque,
-    capacity_bytes)`` — or None with ``reason`` set when a static
-    check failed (then every train on this path refuses in O(1) until
-    a link mutator bumps the topology epoch).
+    capacity_bytes)``, ``jitter`` None for a jitter-free direction — or
+    None with ``reason`` set when a static check failed (then every
+    train on this path refuses in O(1) until a link mutator bumps the
+    topology epoch).
     """
 
     __slots__ = ("directions", "routers", "sink", "profile", "reason",

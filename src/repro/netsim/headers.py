@@ -66,12 +66,13 @@ class IPv4Header:
         """
         return self.fragment_offset > 0
 
-    def decremented(self) -> "IPv4Header":
-        """A copy with TTL reduced by one (router forwarding, per hop:
-        a positional call; ``dataclasses.replace`` costs over 2x more)."""
+    def decremented(self, hops: int = 1) -> "IPv4Header":
+        """A copy with TTL reduced by ``hops`` (router forwarding, per
+        hop, or a whole path at once on the flow-level fast path: a
+        positional call; ``dataclasses.replace`` costs over 2x more)."""
         return IPv4Header(self.src, self.dst, self.protocol,
                           self.total_length, self.identification,
-                          self.ttl - 1, self.more_fragments,
+                          self.ttl - hops, self.more_fragments,
                           self.fragment_offset)
 
 

@@ -30,6 +30,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.node import Node
 
 
+def no_jitter() -> float:
+    """The default per-packet jitter: none.
+
+    Every jitter-free link shares this one function, so the flow-level
+    director can recognise such a direction by identity and skip
+    calling it (it draws from no RNG stream, so the skip cannot shift
+    any other draw).
+    """
+    return 0.0
+
+
 class LossModel:
     """Independent (Bernoulli) packet loss.
 
@@ -317,7 +328,7 @@ class Link:
         loss: optional shared loss model (defaults to lossless).
         jitter: optional zero-arg callable returning extra per-packet
             delay in seconds (e.g. drawn from an RNG stream); negative
-            values are clamped to zero.
+            values are clamped to zero.  Defaults to :func:`no_jitter`.
     """
 
     def __init__(self, sim: "Simulator", a: "Node", b: "Node",
@@ -338,7 +349,7 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.propagation_delay = propagation_delay
         loss = loss or LossModel(0.0)
-        jitter = jitter or (lambda: 0.0)
+        jitter = jitter or no_jitter
         if queue_factory is None:
             queue_factory = lambda: DropTailQueue(queue_capacity_bytes)  # noqa: E731
         self._forward = _Direction(sim, b, bandwidth_bps, propagation_delay,

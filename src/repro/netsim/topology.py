@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 from repro import units
 from repro.netsim.addressing import AddressAllocator, IPAddress, Subnet
 from repro.netsim.engine import Simulator
-from repro.netsim.link import Link, LossModel
+from repro.netsim.link import Link, LossModel, no_jitter
 from repro.netsim.node import Host, Router
 
 #: The client campus subnet (WPI's real 2002 prefix, for flavor).
@@ -107,7 +107,7 @@ def build_path_topology(sim: Simulator, hop_count: int = 17,
 
     def make_jitter(std: float) -> Callable[[], float]:
         if std <= 0:
-            return lambda: 0.0
+            return no_jitter
         return lambda: jitter_rng.gauss(0.0, std)
 
     links: List[Link] = []

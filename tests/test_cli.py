@@ -308,6 +308,23 @@ class TestBadArgumentExitCodes:
         assert excinfo.value.code == 2
 
 
+def _run_repro(argv, env_extra=None, timeout=120):
+    """``python -m repro argv`` in a fresh process (text result)."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    return subprocess.run([sys.executable, "-m", "repro"] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
 class TestNonFiniteScale:
     """``--scale`` rejects nan/inf at parse time, on every command."""
 
@@ -327,22 +344,88 @@ class TestNonFiniteScale:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_study_process_exits_two_without_traceback(self, value):
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "study", "--scale", value],
-            capture_output=True, text=True, env=env, timeout=120)
+        result = _run_repro(["study", "--scale", value])
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "--scale must be a finite positive number" in result.stderr
 
+
+class TestNonFiniteNumbers:
+    """Every float option rejects nan/inf at parse time, like --scale.
+
+    Positionals come after ``--`` so that ``-inf`` reaches the type
+    instead of being read by argparse as an option.
+    """
+
+    CASES = [
+        (lambda v: ["probe", "real", "--", v, "0.05"], "kbps", True),
+        (lambda v: ["probe", "real", "--", "100", v], "loss", False),
+        (lambda v: ["probe", "real", f"--rtt={v}", "100", "0.05"],
+         "--rtt", True),
+        (lambda v: ["probe", "real", f"--duration={v}", "100", "0.05"],
+         "--duration", True),
+        (lambda v: ["boundary", f"--duration={v}"], "--duration", True),
+        (lambda v: ["boundary", f"--kbps={v}"], "--kbps", True),
+        (lambda v: ["generate", "real", "--", v, "10"], "kbps", True),
+        (lambda v: ["generate", "real", "--", "100", v], "duration", True),
+        (lambda v: ["watch", "runs.jsonl", f"--z={v}"], "--z", False),
+        (lambda v: ["watch", "runs.jsonl", f"--min-delta={v}"],
+         "--min-delta", False),
+        (lambda v: ["watch", "runs.jsonl", f"--idle-timeout={v}"],
+         "--idle-timeout", False),
+    ]
+
+    @pytest.mark.parametrize("build,name,positive", CASES,
+                             ids=[f"{case[0]('x')[0]}-{case[1]}"
+                                  for case in CASES])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN",
+                                       "1e999", "abc"])
+    def test_non_finite_exits_two(self, build, name, positive, value,
+                                  capsys):
+        assert main(build(value)) == 2
+        err = capsys.readouterr().err
+        kind = "finite positive number" if positive else "finite number"
+        assert f"{name} must be a {kind}" in err
+        assert value in err
+
+    @pytest.mark.parametrize("argv", [
+        ["probe", "real", "nan", "0.05"],
+        ["generate", "real", "nan", "10"],
+        ["boundary", "--kbps", "nan"],
+        ["boundary", "--duration", "inf"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_process_exits_two_without_traceback(self, argv):
+        result = _run_repro(argv)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "must be a finite" in result.stderr
+
+
+class TestStudyTinyScale:
+    def test_short_clips_render_fig10_as_na(self, tmp_path):
+        # At scale 0.04 the clips are too short for Fig. 10's buffering
+        # analysis; the report says so in that figure's row and goes on.
+        html_path = tmp_path / "report.html"
+        result = _run_repro(["study", "--scale", "0.04",
+                             "--html", str(html_path)],
+                            {"REPRO_STUDY_CACHE": "0",
+                             "REPRO_STUDY_CACHE_DIR": str(tmp_path)})
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        out = result.stdout
+        fig10 = out[out.index("== fig10"):].splitlines()
+        assert fig10[0] == "== fig10 =="
+        assert fig10[1].startswith("n/a: bandwidth series too short")
+        assert "== fig11:" in out
+        assert "fig10: n/a: bandwidth series too short" in (
+            html_path.read_text())
+
+    def test_figure_command_reports_na(self, capsys, monkeypatch,
+                                       tmp_path):
+        monkeypatch.setenv("REPRO_STUDY_CACHE", "0")
+        monkeypatch.setenv("REPRO_STUDY_CACHE_DIR", str(tmp_path))
+        assert main(["figure", "fig10", "--scale", "0.04"]) == 1
+        assert "fig10: n/a: " in capsys.readouterr().err
 
 class TestStudyStreamingOptions:
     def test_progress_and_stream_jsonl(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from repro import units
 from repro.netsim.addressing import IPAddress
 from repro.netsim.engine import Simulator
 from repro.netsim.headers import IPv4Header, IpProtocol
-from repro.netsim.link import Link, LossModel
+from repro.netsim.link import Link, LossModel, no_jitter
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 
@@ -125,6 +125,17 @@ class TestLossAndJitter:
         sim.run()
         offsets = [t - i * 0.1 for i, (t, _) in enumerate(b.received)]
         assert max(offsets) - min(offsets) > 0.001
+
+    def test_default_jitter_is_the_shared_no_jitter(self):
+        # The flow-level director recognises jitter-free directions by
+        # identity, so every default link must share this one function.
+        sim = Simulator()
+        _, _, link = build(sim)
+        _, _, other = build(sim)
+        assert link._forward._jitter is no_jitter
+        assert link._reverse._jitter is no_jitter
+        assert other._forward._jitter is no_jitter
+        assert no_jitter() == 0.0
 
     def test_queue_overflow_drops(self):
         sim = Simulator()

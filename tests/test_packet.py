@@ -50,6 +50,19 @@ class TestIPv4Header:
         assert lower.ttl == 9
         assert lower.total_length == header.total_length
 
+    @pytest.mark.parametrize("hops", [0, 1, 16, 64])
+    def test_decremented_by_hops_keeps_every_other_field(self, hops):
+        header = make_header(ttl=64, more_fragments=True,
+                             fragment_offset=185, identification=4242)
+        lower = header.decremented(hops)
+        assert lower.ttl == 64 - hops
+        before = dataclasses.asdict(header)
+        after = dataclasses.asdict(lower)
+        before.pop("ttl")
+        after.pop("ttl")
+        assert after == before
+        assert header.decremented(1) == header.decremented()
+
 
 class TestPacket:
     def test_wire_bytes_adds_ethernet_header(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim.engine import Simulator
+from repro.netsim.link import no_jitter
 from repro.netsim.topology import (
     CLIENT_SUBNET,
     SERVER_SUBNET,
@@ -34,6 +35,13 @@ class TestConstruction:
             build_path_topology(sim, server_count=0)
         with pytest.raises(ValueError):
             build_path_topology(sim, rtt=0)
+
+    def test_zero_std_jitter_is_the_shared_no_jitter(self):
+        sim = Simulator()
+        quiet = build_path_topology(sim, hop_count=5, jitter_std=0.0)
+        for link in quiet.links:
+            assert link._forward._jitter is no_jitter
+            assert link._reverse._jitter is no_jitter
 
 
 class TestEndToEnd:
