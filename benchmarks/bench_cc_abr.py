@@ -9,6 +9,8 @@ segment-ladder ABR transport.  CI diffs the medians against
 baseline study benches.
 """
 
+import pytest
+
 from repro.cc.abr import AbrConfig
 from repro.cc.base import CcConfig
 from repro.experiments.runner import run_study
@@ -20,6 +22,7 @@ from bench_substrate_micro import (
 )
 
 
+@pytest.mark.guarded
 def test_bench_study_aimd(benchmark):
     """The sequential sweep with the AIMD controller armed."""
     def sweep():
@@ -32,6 +35,7 @@ def test_bench_study_aimd(benchmark):
     assert len(results) == 13
 
 
+@pytest.mark.guarded
 def test_bench_study_abr(benchmark):
     """The sequential sweep over the ABR segment-ladder transport."""
     def sweep():

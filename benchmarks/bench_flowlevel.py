@@ -17,6 +17,8 @@ Two levels, matching the two claims the fast path makes:
 
 import time
 
+import pytest
+
 from repro.experiments.parallel import pool_info
 from repro.experiments.runner import run_study
 from repro.netsim.engine import Simulator
@@ -57,6 +59,7 @@ def _deliver_trains(fast_path):
                      for d in received]
 
 
+@pytest.mark.guarded
 def test_bench_flowlevel_uncontended_delivery(benchmark):
     """Analytic delivery on an idle 25-hop path, with the >=5x gate."""
     def fast_leg():
@@ -92,6 +95,7 @@ def test_bench_flowlevel_uncontended_delivery(benchmark):
         "analytic model has lost its reason to exist")
 
 
+@pytest.mark.guarded
 def test_bench_flowlevel_study(benchmark):
     """The Table 1 sweep delivered analytically (sequential)."""
     def sweep():

@@ -10,6 +10,8 @@ loop actually firing).  CI diffs the medians against
 baseline study benches.
 """
 
+import pytest
+
 from repro.experiments.runner import run_study
 from repro.faults.scenario import build_scenario
 from repro.repair.base import RepairConfig
@@ -21,6 +23,7 @@ from bench_substrate_micro import (
 )
 
 
+@pytest.mark.guarded
 def test_bench_study_repair(benchmark):
     """The sequential sweep with FEC + NACK armed, clean network."""
     def sweep():

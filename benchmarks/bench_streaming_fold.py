@@ -12,6 +12,8 @@ it times the per-worker summary merge the parallel path performs once
 per run, far off the per-event hot path.
 """
 
+import pytest
+
 from repro.telemetry.events import (
     FRAGMENT_EMITTED,
     PACKET_DELIVERED,
@@ -52,6 +54,7 @@ def _synthetic_events(count):
     return events
 
 
+@pytest.mark.guarded
 def test_bench_streaming_fold(benchmark):
     """Per-event fold cost over a realistic event mix."""
     events = _synthetic_events(FOLD_BENCH_EVENTS)

@@ -10,6 +10,8 @@ the committed ``BENCH_substrate.json`` (see ``scripts/bench_compare.py``).
 
 import io
 
+import pytest
+
 from repro.capture.pcap import write_pcap
 from repro.core.generator import generate_flow
 from repro.experiments.runner import run_study
@@ -26,6 +28,7 @@ STUDY_BENCH_SCALE = 0.04
 STUDY_BENCH_ROUNDS = 3
 
 
+@pytest.mark.guarded
 def test_bench_event_loop(benchmark):
     def run_events():
         sim = Simulator()
@@ -76,6 +79,7 @@ def test_bench_pcap_write(benchmark):
     assert benchmark(write) == len(trace)
 
 
+@pytest.mark.guarded
 def test_bench_study_sequential(benchmark):
     """End-to-end wall time of the sequential Table 1 sweep."""
     def sweep():
@@ -87,6 +91,7 @@ def test_bench_study_sequential(benchmark):
     assert len(results) == 13
 
 
+@pytest.mark.guarded
 def test_bench_study_parallel(benchmark):
     """The same sweep through the process-pool executor (``jobs=4``).
 

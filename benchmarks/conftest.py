@@ -21,16 +21,15 @@ from emit_json import write_benchmark_json  # noqa: E402
 #: are reproducible bit-for-bit.
 STUDY_SEED = 2002
 
-#: Bench modules whose medians go into ``BENCH_substrate.json``.  Every
-#: bench ``scripts/bench_compare.py`` guards must live in one of them,
-#: or the gate has no baseline to compare it against.
-EXPORTED_MODULES = (
-    "bench_substrate_micro",
-    "bench_cc_abr",
-    "bench_repair",
-    "bench_streaming_fold",
-    "bench_flowlevel",
-)
+#: The marker that puts a bench under ``scripts/bench_compare.py``'s
+#: regression gate; the exporter flags each marked bench ``"guarded"``.
+GUARDED_MARKER = "guarded"
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", f"{GUARDED_MARKER}: a >25% median regression of this "
+        "bench fails the scripts/bench_compare.py gate")
 
 
 @pytest.fixture(scope="session")
@@ -39,27 +38,23 @@ def study():
     return get_study(seed=STUDY_SEED, duration_scale=1.0)
 
 
-def bench_module(fullname: str) -> str:
-    """``benchmarks/bench_x.py::test_y`` -> ``bench_x``."""
-    path = fullname.split("::", 1)[0]
-    return os.path.splitext(os.path.basename(path))[0]
-
-
 def pytest_sessionfinish(session, exitstatus):
-    """Write substrate microbenchmark medians as a JSON artifact.
+    """Write the medians of every timed bench as a JSON artifact.
 
-    Only benches of :data:`EXPORTED_MODULES` are exported
-    (``BENCH_SUBSTRATE_JSON`` names the path, default
-    ``BENCH_substrate.json`` in the rootdir); runs with
+    The command line picks the benches (CI's "Time the substrate
+    microbenchmarks" step names the substrate modules); each bench
+    carrying the :data:`GUARDED_MARKER` marker is written with
+    ``"guarded": true``.  ``BENCH_SUBSTRATE_JSON`` names the path
+    (default ``BENCH_substrate.json`` in the rootdir); runs with
     ``--benchmark-disable`` produce no stats and write nothing.
     """
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None:
         return
-    substrate = [bench for bench in bench_session.benchmarks
-                 if bench_module(bench.fullname) in EXPORTED_MODULES]
+    guarded = {item.nodeid for item in session.items
+               if item.get_closest_marker(GUARDED_MARKER) is not None}
     path = os.environ.get(
         "BENCH_SUBSTRATE_JSON",
         os.path.join(str(session.config.rootdir), "BENCH_substrate.json"))
-    if write_benchmark_json(substrate, path):
+    if write_benchmark_json(bench_session.benchmarks, path, guarded):
         print(f"\nwrote {path}")

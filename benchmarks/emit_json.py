@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import platform
 import sys
-from typing import Dict, Iterable, List
+from typing import AbstractSet, Dict, Iterable, List
 
 try:
     import resource
@@ -34,18 +34,21 @@ def peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def benchmark_records(benchmarks: Iterable[object]) -> List[Dict[str, object]]:
+def benchmark_records(benchmarks: Iterable[object],
+                      guarded: AbstractSet[str] = frozenset(),
+                      ) -> List[Dict[str, object]]:
     """Flatten pytest-benchmark ``Metadata`` objects to JSON-able rows.
 
     Benchmarks that never ran (``--benchmark-disable``, errors) carry
-    no rounds and are skipped.
+    no rounds and are skipped.  A bench whose ``fullname`` (its pytest
+    node id) is in ``guarded`` is written with ``"guarded": true``.
     """
     records: List[Dict[str, object]] = []
     for bench in benchmarks:
         stats = getattr(bench, "stats", None)
         if stats is None or not getattr(stats, "rounds", 0):
             continue
-        records.append({
+        record = {
             "name": bench.name,
             "fullname": bench.fullname,
             "median_seconds": stats.median,
@@ -55,15 +58,19 @@ def benchmark_records(benchmarks: Iterable[object]) -> List[Dict[str, object]]:
             "max_seconds": stats.max,
             "rounds": stats.rounds,
             "iterations": getattr(bench, "iterations", 1),
-        })
+        }
+        if bench.fullname in guarded:
+            record["guarded"] = True
+        records.append(record)
     records.sort(key=lambda record: record["fullname"])
     return records
 
 
-def write_benchmark_json(benchmarks: Iterable[object], path: str) -> bool:
+def write_benchmark_json(benchmarks: Iterable[object], path: str,
+                         guarded: AbstractSet[str] = frozenset()) -> bool:
     """Write the artifact; returns False (and writes nothing) when no
     benchmark actually ran."""
-    records = benchmark_records(benchmarks)
+    records = benchmark_records(benchmarks, guarded)
     if not records:
         return False
     document = {

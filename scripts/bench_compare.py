@@ -4,11 +4,14 @@
 CI times the substrate microbenchmarks into ``BENCH_substrate.ci.json``
 and runs this script against the committed ``BENCH_substrate.json``.
 A regression of more than ``--threshold`` (default 25%) on a *guarded*
-benchmark — the event-loop bench and the end-to-end study benches —
-fails the build; every other bench is reported but only advisory.  A
-guarded bench missing from either side also fails the build (a gate
-with nothing to compare must not pass silently); an advisory bench on
-one side only is just reported.
+benchmark — one flagged ``"guarded": true`` on either side, which the
+exporter writes for each bench carrying the ``guarded`` pytest marker
+(the event-loop bench and the end-to-end study benches) — fails the
+build; every other bench is reported but only advisory (CI-runner noise
+on sub-10ms benches would make them flaky gates).  A guarded bench
+missing from either side also fails the build (a gate with nothing to
+compare must not pass silently); an advisory bench on one side only is
+just reported.
 
 Usage::
 
@@ -24,30 +27,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict
-
-#: Benches whose regression fails the build (the rest are advisory:
-#: CI-runner noise on sub-10ms benches would make them flaky gates).
-GUARDED = frozenset({
-    "test_bench_event_loop",
-    "test_bench_study_sequential",
-    "test_bench_study_parallel",
-    "test_bench_study_aimd",
-    "test_bench_study_abr",
-    "test_bench_study_repair",
-    "test_bench_streaming_fold",
-    "test_bench_flowlevel_uncontended_delivery",
-    "test_bench_flowlevel_study",
-})
+from typing import Dict, Set, Tuple
 
 DEFAULT_THRESHOLD = 0.25
 
 
-def load_medians(path: str) -> Dict[str, float]:
+def load_medians(path: str) -> Tuple[Dict[str, float], Set[str]]:
+    """``(median seconds by bench name, names flagged guarded)``."""
     with open(path) as stream:
         document = json.load(stream)
-    return {bench["name"]: bench["median_seconds"]
-            for bench in document["benchmarks"]}
+    benches = document["benchmarks"]
+    return ({bench["name"]: bench["median_seconds"] for bench in benches},
+            {bench["name"] for bench in benches if bench.get("guarded")})
 
 
 def main(argv=None) -> int:
@@ -60,14 +51,15 @@ def main(argv=None) -> int:
                              "benches (default %(default)s)")
     args = parser.parse_args(argv)
 
-    baseline = load_medians(args.baseline)
-    fresh = load_medians(args.fresh)
+    baseline, guarded_before = load_medians(args.baseline)
+    fresh, guarded_now = load_medians(args.fresh)
+    guarded_names = guarded_before | guarded_now
 
     failures = []
     for name in sorted(baseline.keys() | fresh.keys()):
         old = baseline.get(name)
         new = fresh.get(name)
-        guarded = name in GUARDED
+        guarded = name in guarded_names
         tag = "guarded" if guarded else "advisory"
         if old is None:
             print(f"  {name}: new bench, no baseline ({new:.6f}s) [{tag}]")

@@ -136,9 +136,12 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
         Raises:
-            SimulationError: if ``time`` is in the past.
+            SimulationError: if ``time`` is in the past or NaN.
         """
-        if time < self.now:
+        # Written as a negated >= so that NaN (which compares false
+        # every way) is refused too: one NaN key would break the heap
+        # order for every later event.
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time:.6f}s; clock is at {self.now:.6f}s")
         event = Event(time, self._sequence, callback, args, self)

@@ -302,11 +302,10 @@ class FlowLevelDirector:
                 next_hop = node.routing.lookup(dst)
             except RoutingError:
                 return None
-            link = node.neighbors.get(next_hop)
-            if link is None:
+            direction = node.egress.get(next_hop)
+            if direction is None:
                 return None
-            directions.append(link._forward if node is link.a
-                              else link._reverse)
+            directions.append(direction)
             node = next_hop
             if node.address == dst:
                 if isinstance(node, HostNode):
@@ -442,9 +441,10 @@ class FlowLevelDirector:
 
         # ---- commit ---------------------------------------------------
         ip.stats.packets_sent += count
-        notify = host._notify_taps
-        for packet in packets:
-            notify("tx", packet)
+        if host.taps:
+            notify = host._notify_taps
+            for packet in packets:
+                notify("tx", packet)
         for router in routers:
             router.forwarded += count
         total_bytes = train_bytes

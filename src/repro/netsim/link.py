@@ -9,6 +9,7 @@ the closely-spaced wire "groups" of the paper's Figure 4.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
@@ -29,6 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.engine import Simulator
     from repro.netsim.node import Node
 
+_ETHERNET_HEADER_BYTES = units.ETHERNET_HEADER_BYTES
+
 
 def no_jitter() -> float:
     """The default per-packet jitter: none.
@@ -39,6 +42,21 @@ def no_jitter() -> float:
     any other draw).
     """
     return 0.0
+
+
+def _check_bandwidth(bandwidth_bps: float) -> None:
+    # Checked here, once, because the transmitter divides by the rate
+    # per packet without re-checking it; a NaN or infinite time would
+    # poison the event heap's order.
+    if not (0 < bandwidth_bps < math.inf):
+        raise ValueError(
+            f"bandwidth must be finite and positive, got {bandwidth_bps}")
+
+
+def _check_delay(delay: float) -> None:
+    if not (0 <= delay < math.inf):
+        raise ValueError(
+            f"propagation delay must be finite and nonnegative, got {delay}")
 
 
 class LossModel:
@@ -285,24 +303,47 @@ class _Direction:
         self._in_flight += 1
         if self._spans is not None and packet.span is not None:
             self._spans.tx_started(packet, self._sim.now, self._label)
-        tx_delay = units.transmission_delay(packet.wire_bytes,
-                                            self._bandwidth_bps)
-        self._busy_until = self._sim.now + tx_delay
-        self._sim.schedule_in(tx_delay, self._finish_transmit, packet)
+        sim = self._sim
+        # Inlined units.transmission_delay of the wire frame (IP bytes
+        # plus the Ethernet header): the same float operations, without
+        # two calls and a rate check per packet — the rate was checked
+        # finite and positive when the link was built or re-rated.
+        busy_until = sim.now + (
+            (packet.ip.total_length + _ETHERNET_HEADER_BYTES) * 8.0
+            / self._bandwidth_bps)
+        self._busy_until = busy_until
+        sim.schedule_at(busy_until, self._finish_transmit, packet)
 
     def _finish_transmit(self, packet: Packet) -> None:
-        arrival = (self._sim.now + self._propagation_delay
-                   + max(0.0, self._jitter()))
+        sim = self._sim
+        now = sim.now
+        jitter = self._jitter
+        if jitter is no_jitter:
+            # Adding no_jitter's 0.0 would leave the sum unchanged, and
+            # it draws from no RNG stream, so the call is skipped.
+            arrival = now + self._propagation_delay
+        else:
+            extra = jitter()
+            arrival = now + self._propagation_delay + (
+                extra if extra > 0.0 else 0.0)
         # A wire is FIFO: jitter models variable queueing delay, which
         # can stretch gaps but never reorder packets within a direction.
-        arrival = max(arrival, self._last_delivery)
+        # (Compares instead of max(): same result, one call fewer.)
+        if arrival < self._last_delivery:
+            arrival = self._last_delivery
         self._last_delivery = arrival
         if self._spans is not None and packet.span is not None:
-            self._spans.tx_finished(packet, self._sim.now)
-            self._spans.propagated(packet, self._sim.now, arrival,
-                                   self._label)
-        self._sim.schedule_at(arrival, self._deliver, packet)
-        self._transmit_next()
+            self._spans.tx_finished(packet, now)
+            self._spans.propagated(packet, now, arrival, self._label)
+        sim.schedule_at(arrival, self._deliver, packet)
+        if not self._queue._queue and self._reserved_until <= now:
+            # Nothing to send next and no virtual train to wait out:
+            # exactly what _transmit_next would conclude, up or down,
+            # minus a call.  (Every queue is a DropTailQueue; its
+            # deque is _queue.)
+            self._busy = False
+        else:
+            self._transmit_next()
 
     def _deliver(self, packet: Packet) -> None:
         self._in_flight -= 1
@@ -339,10 +380,8 @@ class Link:
                  jitter: Optional[Callable[[], float]] = None,
                  queue_factory: Optional[Callable[[], DropTailQueue]] = None,
                  ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if propagation_delay < 0:
-            raise ValueError("propagation delay must be nonnegative")
+        _check_bandwidth(bandwidth_bps)
+        _check_delay(propagation_delay)
         self.sim = sim
         self.a = a
         self.b = b
@@ -398,8 +437,7 @@ class Link:
         Applies to packets whose transmission starts after the call;
         the packet currently on the wire finishes at the old rate.
         """
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
+        _check_bandwidth(bandwidth_bps)
         self.bandwidth_bps = bandwidth_bps
         self._forward._bandwidth_bps = bandwidth_bps
         self._reverse._bandwidth_bps = bandwidth_bps
@@ -407,8 +445,7 @@ class Link:
 
     def set_propagation_delay(self, delay: float) -> None:
         """Change the one-way latency mid-run (path degradation)."""
-        if delay < 0:
-            raise ValueError("propagation delay must be nonnegative")
+        _check_delay(delay)
         self.propagation_delay = delay
         self._forward._propagation_delay = delay
         self._reverse._propagation_delay = delay
@@ -424,31 +461,30 @@ class Link:
     def label(self) -> str:
         return f"{self.a.name}<->{self.b.name}"
 
+    def direction_from(self, sender: "Node") -> _Direction:
+        """The direction whose transmitter is ``sender``.
+
+        Raises:
+            ValueError: if ``sender`` is not an endpoint of this link.
+        """
+        if sender is self.a:
+            return self._forward
+        if sender is self.b:
+            return self._reverse
+        raise ValueError(f"{sender!r} is not an endpoint of this link")
+
     def queue_stats(self, sender: "Node"):
         """The queue counters for the direction whose transmitter is
         ``sender`` (drops here are congestion losses)."""
-        if sender is self.a:
-            return self._forward._queue.stats
-        if sender is self.b:
-            return self._reverse._queue.stats
-        raise ValueError(f"{sender!r} is not an endpoint of this link")
+        return self.direction_from(sender)._queue.stats
 
     def send_from(self, sender: "Node", packet: Packet) -> None:
         """Transmit a packet from one endpoint toward the other."""
-        if sender is self.a:
-            self._forward.send(packet)
-        elif sender is self.b:
-            self._reverse.send(packet)
-        else:
-            raise ValueError(f"{sender!r} is not an endpoint of this link")
+        self.direction_from(sender).send(packet)
 
     def direction_stats(self, sender: "Node") -> DirectionStats:
         """Counters for the direction whose transmitter is ``sender``."""
-        if sender is self.a:
-            return self._forward.stats
-        if sender is self.b:
-            return self._reverse.stats
-        raise ValueError(f"{sender!r} is not an endpoint of this link")
+        return self.direction_from(sender).stats
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Link {self.a.name}<->{self.b.name} "

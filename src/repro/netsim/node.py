@@ -25,7 +25,7 @@ from repro.telemetry.events import NO_ROUTE_DROP
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.engine import Simulator
-    from repro.netsim.link import Link
+    from repro.netsim.link import Link, _Direction
 
 TapCallback = Callable[[str, Packet, float], None]
 
@@ -40,6 +40,11 @@ class Node:
         self.address = address
         self.links: List["Link"] = []
         self.neighbors: Dict["Node", "Link"] = {}
+        #: peer -> the direction of the link toward it that this node
+        #: transmits on; what :meth:`send_packet` hands packets to
+        #: (``Link.send_from`` would redo the endpoint dispatch per
+        #: packet).
+        self.egress: Dict["Node", "_Direction"] = {}
         self.routing = RoutingTable()
         self.taps: List[TapCallback] = []
         #: When True, a routing miss drops the packet (counted, and
@@ -57,12 +62,15 @@ class Node:
         """Record a link attachment (called by Link's constructor)."""
         self.links.append(link)
         self.neighbors[peer] = link
+        self.egress[peer] = link.direction_from(self)
 
     def add_tap(self, callback: TapCallback) -> None:
         """Observe every packet this node sends ('tx') or receives ('rx')."""
         self.taps.append(callback)
 
     def _notify_taps(self, direction: str, packet: Packet) -> None:
+        # Callers test ``self.taps`` first: only the capture host has a
+        # tap, so every other node skips this call.
         for tap in self.taps:
             tap(direction, packet, self.sim.now)
 
@@ -78,15 +86,16 @@ class Node:
                 raise
             self._drop_no_route(packet)
             return
-        link = self.neighbors.get(next_hop)
-        if link is None:
+        direction = self.egress.get(next_hop)
+        if direction is None:
             if self.drop_on_no_route:
                 self._drop_no_route(packet)
                 return
             raise RoutingError(
                 f"{self.name}: next hop {next_hop.name} is not a neighbor")
-        self._notify_taps("tx", packet)
-        link.send_from(self, packet)
+        if self.taps:
+            self._notify_taps("tx", packet)
+        direction.send(packet)
 
     def _drop_no_route(self, packet: Packet) -> None:
         self.no_route_drops += 1
@@ -97,7 +106,8 @@ class Node:
 
     def receive(self, packet: Packet) -> None:
         """Entry point for packets delivered by a link."""
-        self._notify_taps("rx", packet)
+        if self.taps:
+            self._notify_taps("rx", packet)
         self.handle_packet(packet)
 
     def handle_packet(self, packet: Packet) -> None:
@@ -124,7 +134,8 @@ class Router(Node):
         self.ttl_expired = 0
 
     def handle_packet(self, packet: Packet) -> None:
-        if self.address is not None and packet.ip.dst == self.address:
+        address = self.address
+        if address is not None and packet.ip.dst.value == address.value:
             # Routers terminate only ICMP aimed at themselves (ping of a
             # hop); everything else addressed to a router is dropped.
             self._handle_local(packet)

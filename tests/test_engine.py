@@ -50,6 +50,17 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("time", [float("nan"), -float("inf")])
+    def test_scheduling_at_nan_or_minus_inf_raises(self, time):
+        # One NaN key would break the heap order for every later event.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(time, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_in(time, lambda: None)
+        assert sim.pending_events == 0
+        assert sim.run() == 0
+
     def test_negative_delay_raises(self):
         sim = Simulator()
         with pytest.raises(SimulationError):

@@ -1,6 +1,10 @@
 """Link serialization, queueing, loss, and jitter tests."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.netsim.addressing import IPAddress
@@ -212,3 +216,138 @@ class TestLossAndJitter:
         link.send_from(a, Packet(ip=header))
         sim.run()
         assert b.received == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(min_value=28, max_value=9000),
+                      min_size=1, max_size=5),
+       bandwidth=st.one_of(st.floats(min_value=1e3, max_value=1e10),
+                           st.integers(min_value=1000,
+                                       max_value=10_000_000_000)),
+       propagation=st.floats(min_value=0.0, max_value=1.0),
+       start=st.floats(min_value=0.0, max_value=10.0))
+def test_delivery_times_follow_transmission_delay_bit_for_bit(
+        sizes, bandwidth, propagation, start):
+    # The transmitter inlines units.transmission_delay; a burst sent at
+    # `start` must arrive exactly where the helper's arithmetic says.
+    sim = Simulator()
+    a, b, link = build(sim, bandwidth_bps=bandwidth,
+                       propagation_delay=propagation)
+    packets = [make_packet(size) for size in sizes]
+
+    def burst():
+        for packet in packets:
+            link.send_from(a, packet)
+
+    sim.schedule_at(start, burst)
+    sim.run()
+    expected = []
+    departure = start
+    for packet in packets:
+        departure = departure + units.transmission_delay(packet.wire_bytes,
+                                                         bandwidth)
+        expected.append(departure + propagation)
+    assert [time for time, _ in b.received] == expected
+    assert [packet for _, packet in b.received] == packets
+
+
+class TestNonFiniteParameters:
+    """Rates and delays are checked once, where they enter a link: the
+    transmitter divides by the rate per packet without re-checking it."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(bandwidth_bps=math.nan), dict(bandwidth_bps=math.inf),
+        dict(bandwidth_bps=-math.inf), dict(bandwidth_bps=0.0),
+        dict(propagation_delay=math.nan), dict(propagation_delay=math.inf),
+        dict(propagation_delay=-1e-9),
+    ])
+    def test_constructor_rejects(self, kwargs):
+        sim = Simulator()
+        a = SinkNode(sim, "a")
+        b = SinkNode(sim, "b")
+        with pytest.raises(ValueError):
+            Link(sim, a, b, **kwargs)
+        assert a.links == [] and b.links == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0,
+                                       -1.0])
+    def test_set_bandwidth_rejects(self, value):
+        sim = Simulator()
+        _, _, link = build(sim, bandwidth_bps=units.mbps(10))
+        with pytest.raises(ValueError):
+            link.set_bandwidth(value)
+        assert link.bandwidth_bps == units.mbps(10)
+        assert link._forward._bandwidth_bps == units.mbps(10)
+        assert sim.topology_epoch == 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-9])
+    def test_set_propagation_delay_rejects(self, value):
+        sim = Simulator()
+        _, _, link = build(sim, propagation_delay=0.002)
+        with pytest.raises(ValueError):
+            link.set_propagation_delay(value)
+        assert link.propagation_delay == 0.002
+        assert link._reverse._propagation_delay == 0.002
+        assert sim.topology_epoch == 0
+
+    def test_finite_values_still_accepted(self):
+        sim = Simulator()
+        _, _, link = build(sim, propagation_delay=0.0)
+        link.set_bandwidth(1e-3)
+        link.set_propagation_delay(0.0)
+        link.set_propagation_delay(3600.0)
+        assert (link.bandwidth_bps, link.propagation_delay) == (1e-3, 3600.0)
+
+
+class TestTransmitterState:
+    def test_jitter_never_reorders_a_direction(self):
+        # The first packet draws a long jitter, the second none: the
+        # second is held to the first's arrival (the wire is FIFO).
+        sim = Simulator()
+        draws = iter([0.005, 0.0, -0.002])
+        a, b, link = build(sim, bandwidth_bps=units.mbps(10),
+                           propagation_delay=0.001,
+                           jitter=lambda: next(draws))
+        for size in (1500, 100, 100):
+            link.send_from(a, make_packet(size))
+        sim.run()
+        first = units.transmission_delay(1514, units.mbps(10)) + 0.001 + 0.005
+        assert [time for time, _ in b.received] == [first] * 3
+
+    def test_finish_with_an_open_reservation_keeps_the_transmitter(self):
+        # A virtual train reserved the wire while a real packet was
+        # serializing: when that packet finishes, the transmitter stays
+        # busy until the reservation ends, as _transmit_next decides.
+        sim = Simulator()
+        a, b, link = build(sim, bandwidth_bps=units.mbps(10))
+        direction = link.direction_from(a)
+        link.send_from(a, make_packet())
+        direction._reserved_until = 0.5
+        sim.run(until=0.01)
+        assert len(b.received) == 1
+        assert direction._busy
+        assert direction._busy_until == 0.5
+        assert sim.pending_events == 1
+        sim.run()
+        assert not direction._busy
+
+    def test_finish_with_nothing_left_frees_the_transmitter(self):
+        sim = Simulator()
+        a, b, link = build(sim)
+        direction = link.direction_from(a)
+        link.send_from(a, make_packet())
+        link.send_from(a, make_packet())
+        sim.run()
+        assert len(b.received) == 2
+        assert not direction._busy
+        assert direction._in_flight == 0
+
+    def test_direction_from_dispatches_on_the_sender(self):
+        sim = Simulator()
+        a, b, link = build(sim)
+        assert link.direction_from(a) is link._forward
+        assert link.direction_from(b) is link._reverse
+        assert a.egress == {b: link._forward}
+        assert b.egress == {a: link._reverse}
+        with pytest.raises(ValueError):
+            link.direction_from(SinkNode(sim, "stranger"))

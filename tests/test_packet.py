@@ -116,3 +116,97 @@ class TestPacket:
         packet = Packet(ip=make_header(ttl=0))
         with pytest.raises(PacketError):
             packet.forwarded()
+
+
+class TestSlottedPacket:
+    """``Packet`` is a slotted class that behaves as the dataclass did."""
+
+    def test_has_no_instance_dict(self):
+        packet = Packet(ip=make_header())
+        assert not hasattr(packet, "__dict__")
+        with pytest.raises(AttributeError):
+            packet.colour = "red"
+
+    def test_equality_covers_every_field_but_span(self):
+        header = make_header()
+        payload = PayloadMeta()
+        udp = UdpHeader(src_port=1, dst_port=2, length=1480)
+        packet = Packet(ip=header, transport=udp, payload=payload, uid=5,
+                        datagram_id=3, span=object())
+        assert packet == Packet(ip=header, transport=udp, payload=payload,
+                                uid=5, datagram_id=3, span=None)
+        for other in (
+                Packet(ip=make_header(ttl=1), transport=udp,
+                       payload=payload, uid=5, datagram_id=3),
+                Packet(ip=header, payload=payload, uid=5, datagram_id=3),
+                Packet(ip=header, transport=udp,
+                       payload=PayloadMeta(kind="control"), uid=5,
+                       datagram_id=3),
+                Packet(ip=header, transport=udp, payload=payload, uid=6,
+                       datagram_id=3),
+                Packet(ip=header, transport=udp, payload=payload, uid=5,
+                       datagram_id=4)):
+            assert packet != other
+        assert packet.__eq__(object()) is NotImplemented
+        assert packet != object()
+
+    def test_unhashable(self):
+        packet = Packet(ip=make_header())
+        with pytest.raises(TypeError):
+            hash(packet)
+        with pytest.raises(TypeError):
+            {packet}
+
+    def test_defaults(self):
+        first = Packet(ip=make_header())
+        second = Packet(ip=make_header())
+        assert first.transport is None
+        assert first.payload == PayloadMeta()
+        assert first.payload is not second.payload
+        assert second.uid == first.uid + 1
+        assert (first.datagram_id, first.span) == (0, None)
+        assert Packet(ip=make_header(), uid=0).uid == 0
+
+    def test_repr(self):
+        packet = Packet(ip=make_header(more_fragments=True))
+        assert repr(packet) == (f"<Packet #{packet.uid} 64.14.118.1->"
+                                f"130.215.0.1 UDP 1500B frag(off=0+)>")
+        trailing = Packet(ip=make_header(total_length=100,
+                                         fragment_offset=185))
+        assert repr(trailing) == (f"<Packet #{trailing.uid} 64.14.118.1->"
+                                  f"130.215.0.1 UDP 100B frag(off=1480$)>")
+
+    @pytest.mark.parametrize("fields", [
+        dict(ip=make_header(total_length=10)),
+        dict(ip=make_header(fragment_offset=185),
+             transport=UdpHeader(src_port=1, dst_port=2, length=100)),
+    ])
+    def test_checks_raise_from_init(self, fields):
+        with pytest.raises(PacketError) as info:
+            Packet(**fields)
+        assert info.traceback[-1].name == "__init__"
+
+    def test_forwarded_copies_every_slot_but_ip_and_uid(self):
+        udp = UdpHeader(src_port=1, dst_port=2, length=1480)
+        packet = Packet(ip=make_header(ttl=3), transport=udp,
+                        payload=PayloadMeta(media_time=2.0),
+                        datagram_id=8, span=object())
+        forwarded = packet.forwarded()
+        assert type(forwarded) is Packet
+        assert set(Packet.__slots__) == {"ip", "transport", "payload", "uid",
+                                         "datagram_id", "span"}
+        for name in ("transport", "payload", "datagram_id", "span"):
+            assert getattr(forwarded, name) is getattr(packet, name)
+        assert forwarded.ip == packet.ip.decremented()
+
+    def test_forwarded_draws_the_next_uid(self):
+        packet = Packet(ip=make_header(ttl=3))
+        forwarded = packet.forwarded()
+        assert forwarded.uid == packet.uid + 1
+        assert Packet(ip=make_header()).uid == forwarded.uid + 1
+
+    def test_forwarding_dead_packet_draws_no_uid(self):
+        packet = Packet(ip=make_header(ttl=0))
+        with pytest.raises(PacketError):
+            packet.forwarded()
+        assert Packet(ip=make_header()).uid == packet.uid + 1
