@@ -60,8 +60,9 @@ from repro._version import __version__
 
 
 class _BadArgument(Exception):
-    """Bad option value; :func:`main` returns 2, as for handler checks
-    (``argparse.ArgumentTypeError`` would exit the process instead)."""
+    """Bad option value, from parsing or a handler's :func:`_checked`;
+    :func:`main` returns 2 (``argparse.ArgumentTypeError`` would exit
+    the process instead)."""
 
 
 def _finite(name: str, positive: bool = False):
@@ -389,6 +390,44 @@ def _check_sweep_args(args: argparse.Namespace) -> Optional[int]:
     return None
 
 
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with any ``ReproError`` it raises — an
+    unknown name, a bad set number, a :class:`StudySpec` option
+    combination no run can honor — turned into exit status 2."""
+    from repro.errors import ReproError
+
+    try:
+        return build(*args, **kwargs)
+    except ReproError as exc:
+        raise _BadArgument(f"error: {exc}") from None
+
+
+def _fast_path(mode: Optional[str]):
+    """The ``--fast-path[=strict]`` option as a config (None when off)."""
+    if mode is None:
+        return None
+    from repro.netsim.flowlevel import FlowLevelConfig
+
+    return FlowLevelConfig(strict=(mode == "strict"))
+
+
+def _describe(spec) -> str:
+    """A header line's parameters: seed, scale, then every option set."""
+    notes = [f"seed {spec.seed}", f"scale {spec.duration_scale}"]
+    if spec.scenario is not None:
+        notes.append(f"faults {spec.scenario.name}")
+    if spec.cc is not None:
+        notes.append(f"cc {spec.cc.kind}")
+    if spec.abr is not None:
+        notes.append("abr")
+    if spec.repair is not None:
+        notes.append("repair")
+    if spec.fast_path is not None:
+        notes.append("fast-path "
+                     + ("strict" if spec.fast_path.strict else "on"))
+    return ", ".join(notes)
+
+
 def _cmd_study(args: argparse.Namespace) -> int:
     import json as json_module
     import resource
@@ -396,15 +435,13 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
     from repro.experiments.report import build_report
     from repro.experiments.runner import run_study
+    from repro.experiments.spec import StudySpec
 
     bad = _check_sweep_args(args)
     if bad is not None:
         return bad
-    fast_path = None
-    if args.fast_path is not None:
-        from repro.netsim.flowlevel import FlowLevelConfig
-
-        fast_path = FlowLevelConfig(strict=(args.fast_path == "strict"))
+    spec = _checked(StudySpec, seed=args.seed, duration_scale=args.scale,
+                    fast_path=_fast_path(args.fast_path))
     record_stream = None
     if args.stream_jsonl:
         try:
@@ -460,19 +497,15 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 from repro.telemetry.streaming import StreamingSummary
 
                 stream = StreamingSummary()
-            study = run_study(seed=args.seed, duration_scale=args.scale,
-                              jobs=args.jobs, stream=stream,
-                              fast_path=fast_path, progress=progress)
+            study = run_study(spec, jobs=args.jobs, stream=stream,
+                              progress=progress)
             source = ("cache off" if args.no_cache
                       else "cache bypassed (--stream-jsonl)")
         else:
             from repro.experiments.cache import load_or_run_study
 
-            study, origin = load_or_run_study(seed=args.seed,
-                                              duration_scale=args.scale,
-                                              jobs=args.jobs,
+            study, origin = load_or_run_study(spec, jobs=args.jobs,
                                               stream=streaming,
-                                              fast_path=fast_path,
                                               progress=progress)
             source = ("disk cache hit" if origin == "disk"
                       else "memory cache hit" if origin == "memory"
@@ -497,14 +530,15 @@ def _cmd_study(args: argparse.Namespace) -> int:
             state = "warm" if info["studies"] > 1 else "cold"
             exec_note += (f", pool {state} "
                           f"({info['workers']} workers)")
-    fast_note = f", fast-path {args.fast_path}" if fast_path else ""
+    fast_note = (f", fast-path {args.fast_path}"
+                 if spec.fast_path is not None else "")
     # ru_maxrss is KiB on Linux: the process-lifetime high-water mark,
     # which is exactly the number the bounded-memory claim is about.
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"# study sweep: {len(study)} pair runs in {elapsed:.2f}s "
           f"(seed {args.seed}, scale {args.scale}{jobs_note}{exec_note}"
           f"{fast_note}, {source}, peak rss {peak_kib / 1024:.0f} MiB)\n")
-    if fast_path is not None and ran_now:
+    if spec.fast_path is not None and ran_now:
         fast = sum(r.fastpath.packets_fast for r in study.runs
                    if r.fastpath is not None)
         fell = sum(r.fastpath.packets_fallback for r in study.runs
@@ -668,7 +702,6 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
     if bad is not None:
         return bad
     if args.modern:
-        from repro.errors import ExperimentError
         from repro.experiments.modern import (
             render_modern_scorecard,
             run_modern_scorecard,
@@ -679,13 +712,9 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
                             for name in args.transports.split(",")
                             if name.strip())
                       if args.transports else None)
-        try:
-            card = run_modern_scorecard(seed=args.seed,
-                                        duration_scale=args.scale,
-                                        jobs=args.jobs,
-                                        transports=transports)
-        except ExperimentError as exc:
-            return _usage_error(f"error: {exc}")
+        card = _checked(run_modern_scorecard, seed=args.seed,
+                        duration_scale=args.scale, jobs=args.jobs,
+                        transports=transports)
         print(render_modern_scorecard(card))
         if args.svg:
             with open(args.svg, "w") as stream:
@@ -700,10 +729,9 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
 
 def _cmd_cc(args: argparse.Namespace) -> int:
     from repro.cc.base import CcConfig, cc_descriptions
-    from repro.errors import ReproError
-    from repro.experiments.datasets import build_table1_library
+    from repro.experiments.datasets import table1_set_library
     from repro.experiments.runner import run_study
-    from repro.media.library import ClipLibrary
+    from repro.experiments.spec import StudySpec
     from repro.telemetry import MemorySink, Telemetry
     from repro.telemetry.events import CC_STATE
 
@@ -714,21 +742,12 @@ def _cmd_cc(args: argparse.Namespace) -> int:
     if args.controller is None:
         return _usage_error(
             "a controller name is required (or --list to see them)")
-    try:
-        config = CcConfig(kind=args.controller)
-    except ReproError as exc:
-        return _usage_error(f"error: {exc}")
-
-    full = build_table1_library(duration_scale=args.scale)
-    try:
-        clip_set = full.get_set(args.set_number)
-    except ReproError as exc:
-        return _usage_error(f"error: {exc}")
-    library = ClipLibrary()
-    library.add_set(clip_set)
+    config = _checked(CcConfig, kind=args.controller)
+    library = _checked(table1_set_library, args.scale, args.set_number)
+    spec = _checked(StudySpec, library=library, seed=args.seed,
+                    duration_scale=args.scale, cc=config)
     telemetry = Telemetry(sinks=[MemorySink()])
-    study = run_study(library=library, seed=args.seed,
-                      telemetry=telemetry, cc=config)
+    study = run_study(spec, telemetry=telemetry)
     samples = [event for event in telemetry.memory_events()
                if event.type == CC_STATE]
     telemetry.close()
@@ -982,10 +1001,11 @@ def _cmd_spans(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.experiments.datasets import build_table1_library
     from repro.experiments.runner import run_pair_experiment, study_conditions
+    from repro.experiments.spec import StudySpec
     from repro.faults import build_scenario, recovery_report, scenario_names
+    from repro.repair import RepairConfig
     from repro.telemetry import JsonlSink, MemorySink, Telemetry
 
     if args.list_scenarios:
@@ -996,11 +1016,10 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             description = build_scenario(name, args.seed).description
             print(f"{name:<18} {description}")
         return 0
-    try:
-        scenario = build_scenario(args.scenario, args.seed)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = _checked(build_scenario, args.scenario, args.seed)
+    spec = _checked(StudySpec, seed=args.seed, duration_scale=args.scale,
+                    scenario=scenario,
+                    repair=RepairConfig() if args.repair else None)
 
     library = build_table1_library(duration_scale=args.scale)
     clip_set, pair = library.all_pairs()[0]
@@ -1008,16 +1027,10 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     sinks = [MemorySink()]
     if args.events:
         sinks.append(JsonlSink(args.events))
-    repair = None
-    if args.repair:
-        from repro.repair import RepairConfig
-
-        repair = RepairConfig()
     telemetry = Telemetry(sinks=sinks)
     result = run_pair_experiment(clip_set, pair, seed=args.seed,
                                  conditions=conditions,
-                                 telemetry=telemetry, scenario=scenario,
-                                 repair=repair)
+                                 telemetry=telemetry, spec=spec)
     report = recovery_report(telemetry.memory_events(),
                              scenario=scenario.name)
     telemetry.close()
@@ -1042,43 +1055,30 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_repair(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.errors import ReproError
-    from repro.experiments.datasets import build_table1_library
+    from repro.experiments.datasets import table1_set_library
     from repro.experiments.runner import run_study
+    from repro.experiments.spec import StudySpec
     from repro.faults import build_scenario
-    from repro.media.library import ClipLibrary
     from repro.repair import RepairConfig
     from repro.telemetry import MemorySink, Telemetry
     from repro.telemetry.streaming import StreamingSummary
 
-    try:
-        config = RepairConfig(fec_group=args.fec_group,
-                              nack=not args.no_nack)
-    except ReproError as exc:
-        return _usage_error(f"error: {exc}")
+    config = _checked(RepairConfig, fec_group=args.fec_group,
+                      nack=not args.no_nack)
     if config.is_null:
         return _usage_error(
             "error: --fec-group 0 with --no-nack arms no repair "
             "mechanism at all; nothing to report")
     scenario = None
     if args.fault_scenario != "none":
-        try:
-            scenario = build_scenario(args.fault_scenario, args.seed)
-        except ReproError as exc:
-            return _usage_error(f"error: {exc}")
-
-    full = build_table1_library(duration_scale=args.scale)
-    try:
-        clip_set = full.get_set(args.set_number)
-    except ReproError as exc:
-        return _usage_error(f"error: {exc}")
-    library = ClipLibrary()
-    library.add_set(clip_set)
+        scenario = _checked(build_scenario, args.fault_scenario, args.seed)
+    library = _checked(table1_set_library, args.scale, args.set_number)
+    spec = _checked(StudySpec, library=library, seed=args.seed,
+                    duration_scale=args.scale, scenario=scenario,
+                    repair=config)
     telemetry = Telemetry(sinks=[MemorySink(capacity=None)])
     stream = StreamingSummary()
-    study = run_study(library=library, seed=args.seed,
-                      telemetry=telemetry, scenario=scenario,
-                      repair=config, stream=stream)
+    study = run_study(spec, telemetry=telemetry, stream=stream)
     telemetry.close()
 
     fault_note = (args.fault_scenario if scenario is not None
@@ -1124,11 +1124,11 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.cc.abr import AbrConfig
     from repro.cc.base import CcConfig
-    from repro.errors import ReproError
-    from repro.experiments.datasets import build_table1_library
+    from repro.experiments.datasets import table1_set_library
     from repro.experiments.runner import run_study
+    from repro.experiments.spec import StudySpec
     from repro.faults import build_scenario
-    from repro.media.library import ClipLibrary
+    from repro.repair import RepairConfig
     from repro.validate import (
         GOLDEN_SCENARIOS,
         RunValidator,
@@ -1136,8 +1136,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         run_differential,
     )
 
-    if args.jobs < 0:
-        return _usage_error(f"--jobs must be >= 0, got {args.jobs}")
+    bad = _check_sweep_args(args)
+    if bad is not None:
+        return bad
 
     if args.golden:
         failures = 0
@@ -1153,59 +1154,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 print(f"golden {name}: ok")
         return 1 if failures else 0
 
-    library = None
-    if args.set_number is not None:
-        full = build_table1_library(duration_scale=args.scale)
-        try:
-            clip_set = full.get_set(args.set_number)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        library = ClipLibrary()
-        library.add_set(clip_set)
-
-    scenario = None
-    if args.fault_scenario is not None:
-        try:
-            scenario = build_scenario(args.fault_scenario, args.seed)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    cc = None
-    if args.cc_kind is not None:
-        try:
-            cc = CcConfig(kind=args.cc_kind)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    abr = AbrConfig() if args.abr else None
-    repair = None
-    if args.repair:
-        from repro.repair import RepairConfig
-
-        repair = RepairConfig()
-    fast_path = None
-    if args.fast_path is not None:
-        if args.abr:
-            return _usage_error(
-                "error: --fast-path and --abr are mutually exclusive")
-        if args.repair:
-            return _usage_error(
-                "error: --fast-path requires no repair stack "
-                "(drop --repair)")
-        from repro.netsim.flowlevel import FlowLevelConfig
-
-        fast_path = FlowLevelConfig(strict=(args.fast_path == "strict"))
+    # table1_set_library applies the scale when --set is given;
+    # run_study applies it itself for the full sweep.
+    library = (_checked(table1_set_library, args.scale, args.set_number)
+               if args.set_number is not None else None)
+    scenario = (_checked(build_scenario, args.fault_scenario, args.seed)
+                if args.fault_scenario is not None else None)
+    cc = (_checked(CcConfig, kind=args.cc_kind)
+          if args.cc_kind is not None else None)
+    spec = _checked(StudySpec, library=library, seed=args.seed,
+                    duration_scale=args.scale, scenario=scenario, cc=cc,
+                    abr=AbrConfig() if args.abr else None,
+                    repair=RepairConfig() if args.repair else None,
+                    fast_path=_fast_path(args.fast_path))
 
     if args.differential:
-        report = run_differential(seed=args.seed,
-                                  duration_scale=args.scale,
-                                  jobs=args.jobs, library=library,
-                                  scenario=scenario, cc=cc, abr=abr,
-                                  repair=repair)
-        print(f"# differential oracle (seed {args.seed}, "
-              f"scale {args.scale})\n")
+        report = run_differential(spec=spec, jobs=args.jobs)
+        print(f"# differential oracle ({_describe(spec)})\n")
         print(report.summary())
         return 0 if report.ok else 1
 
@@ -1217,24 +1182,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.telemetry.streaming import StreamingSummary
 
     telemetry = Telemetry(sinks=[MemorySink(capacity=None)])
-    stream = StreamingSummary()
-    # build_table1_library already applied the scale when --set was
-    # given; run_study applies it itself for the full sweep.
-    study = run_study(library=library, seed=args.seed,
-                      duration_scale=args.scale, jobs=1,
-                      scenario=scenario, validate=validator,
-                      cc=cc, abr=abr, repair=repair, telemetry=telemetry,
-                      stream=stream, fast_path=fast_path)
-    transport_note = ((f", cc {args.cc_kind}" if cc is not None else "")
-                      + (", abr" if abr is not None else "")
-                      + (", repair" if repair is not None else "")
-                      + (f", fast-path {args.fast_path}"
-                         if fast_path is not None else ""))
+    study = run_study(spec, telemetry=telemetry, jobs=1,
+                      validate=validator, stream=StreamingSummary())
     print(f"# invariant check: {len(study)} pair runs "
-          f"(seed {args.seed}, scale {args.scale}"
-          + (f", faults {args.fault_scenario}"
-             if args.fault_scenario else "")
-          + transport_note + ")\n")
+          f"({_describe(spec)})\n")
     print(validator.report())
     return 1 if validator.violations else 0
 
@@ -1367,9 +1318,9 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return _HANDLERS[args.command](args)
     except _BadArgument as exc:
         return _usage_error(str(exc))
-    return _HANDLERS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution

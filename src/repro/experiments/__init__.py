@@ -1,6 +1,8 @@
 """The paper's experiments: datasets, runner, and figure generators.
 
 :mod:`repro.experiments.datasets` holds Table 1 verbatim;
+:mod:`repro.experiments.spec` declares a study's options once, as one
+frozen :class:`~repro.experiments.spec.StudySpec`;
 :mod:`repro.experiments.conditions` samples per-run network conditions
 matching Figures 1–2; :mod:`repro.experiments.runner` executes the
 paper's simultaneous-stream methodology; and
@@ -15,11 +17,13 @@ from repro.experiments.runner import (
     run_pair_experiment,
     run_study,
 )
+from repro.experiments.spec import StudySpec
 
 __all__ = [
     "NetworkConditions",
     "PairRunResult",
     "StudyResults",
+    "StudySpec",
     "build_table1_library",
     "run_pair_experiment",
     "run_study",

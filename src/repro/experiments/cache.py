@@ -12,13 +12,18 @@ Two layers keep that cost paid once:
   simulation entirely.  Set ``REPRO_STUDY_CACHE=0`` to bypass the disk
   layer, or run ``repro cache clear`` to drop it.
 
-Both layers key through :func:`study_key`: the scalar parameters plus a
-fingerprint of the clip library driving the sweep (see
-:meth:`~repro.media.library.ClipLibrary.fingerprint`), so a custom
-library can never alias a memoized default Table 1 study.  The disk
-layer additionally keys on a digest of the ``repro`` package's own
-sources — any code change invalidates every stored sweep, because a
-cached result is only as trustworthy as the code that produced it.
+Both layers key on :meth:`~repro.experiments.spec.StudySpec.fingerprint`
+plus the ``stream`` flag (a streamed sweep carries its online summary
+in the stored payload, so it must never alias one that did not).  The
+fingerprint covers every spec field — the clip library by its content
+(see :meth:`~repro.media.library.ClipLibrary.fingerprint`), so a
+custom library can never alias a memoized default Table 1 study, and
+each option config by its own digest, so a faulted, congestion-
+controlled, ABR, repaired or fast-path sweep never aliases a plain
+one.  The disk layer additionally keys on a digest of the ``repro``
+package's own sources — any code change invalidates every stored
+sweep, because a cached result is only as trustworthy as the code that
+produced it.
 """
 
 from __future__ import annotations
@@ -31,18 +36,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro._version import __version__
-from repro.cc.abr import AbrConfig
-from repro.cc.base import CcConfig
 from repro.experiments.runner import StudyResults, run_study
-from repro.faults.scenario import FaultScenario
-from repro.media.library import ClipLibrary
-from repro.netsim.flowlevel import FlowLevelConfig
-from repro.repair.base import RepairConfig
-
-#: Key slot used when the caller lets ``run_study`` build the default
-#: Table 1 library; the library itself depends only on duration_scale,
-#: which is already part of the key.
-_DEFAULT_LIBRARY = "table1-default"
+from repro.experiments.spec import StudySpec, study_spec
 
 #: Environment escape hatch: ``REPRO_STUDY_CACHE=0`` disables the disk
 #: layer entirely (memory memoization stays on — it is free and has no
@@ -52,72 +47,10 @@ CACHE_ENV = "REPRO_STUDY_CACHE"
 #: Overrides the disk cache directory (tests point this at a tmpdir).
 CACHE_DIR_ENV = "REPRO_STUDY_CACHE_DIR"
 
-#: Key slot for studies run without a fault scenario.
-_NO_SCENARIO = "no-faults"
-
-#: Key slots for studies run on the default (2002) transport.
-_NO_CC = "no-cc"
-_NO_ABR = "no-abr"
-
-#: Key slot for studies run without loss repair.
-_NO_REPAIR = "no-repair"
-
-#: Key slots for the streaming-summary axis: a sweep that folded an
-#: online summary carries it in the stored payload, so it must never
-#: alias a sweep that did not.
-_STREAMING = "streaming"
-_NO_STREAM = "no-stream"
-
-#: Key slot for packet-level (non-fast-path) studies.
-_NO_FASTPATH = "packet-level"
-
-StudyKey = Tuple[int, float, float, str, str, str, str, str, str, str]
-
-_CACHE: Dict[StudyKey, StudyResults] = {}
+#: Memoized sweeps by (spec fingerprint, streamed).
+_CACHE: Dict[Tuple[str, bool], StudyResults] = {}
 
 _code_fingerprint: Optional[str] = None
-
-
-# ----------------------------------------------------------------------
-# Keying — one helper for both layers
-# ----------------------------------------------------------------------
-
-def study_key(seed: int, duration_scale: float, loss_probability: float,
-              library: Optional[ClipLibrary],
-              scenario: Optional[FaultScenario] = None,
-              cc: Optional[CcConfig] = None,
-              abr: Optional[AbrConfig] = None,
-              repair: Optional[RepairConfig] = None,
-              stream: bool = False,
-              fast_path: Optional[FlowLevelConfig] = None) -> StudyKey:
-    """The canonical cache key for one study parameter set.
-
-    Shared by the memory dict and the disk layer so the two can never
-    disagree about what "the same study" means.  The fault scenario's
-    fingerprint is part of the key: a cached fault-free sweep must
-    never alias a faulted one (nor two differently-faulted ones).  The
-    transport configs key the same way: a study run under a congestion
-    controller or on the ABR ladder is a different study, keyed by the
-    config fingerprints (see :meth:`~repro.cc.base.CcConfig.fingerprint`
-    and :meth:`~repro.cc.abr.AbrConfig.fingerprint`).  So does the
-    flow-level fast path: its results agree with packet-level within
-    declared tolerances but are not byte-identical, and the two must
-    never alias.
-    """
-    library_key = (library.fingerprint() if library is not None
-                   else _DEFAULT_LIBRARY)
-    scenario_key = (scenario.fingerprint() if scenario is not None
-                    else _NO_SCENARIO)
-    cc_key = cc.fingerprint() if cc is not None else _NO_CC
-    abr_key = abr.fingerprint() if abr is not None else _NO_ABR
-    repair_key = (repair.fingerprint() if repair is not None
-                  else _NO_REPAIR)
-    stream_key = _STREAMING if stream else _NO_STREAM
-    fastpath_key = (fast_path.fingerprint() if fast_path is not None
-                    else _NO_FASTPATH)
-    return (seed, duration_scale, loss_probability, library_key,
-            scenario_key, cc_key, abr_key, repair_key, stream_key,
-            fastpath_key)
 
 
 def code_fingerprint() -> str:
@@ -156,23 +89,18 @@ def cache_dir() -> Path:
     return base / "repro-study"
 
 
-def _entry_paths(key: StudyKey) -> Tuple[Path, Path]:
-    """(pickle path, key sidecar path) for one study key."""
-    material = json.dumps(
-        {"seed": key[0], "duration_scale": key[1],
-         "loss_probability": key[2], "library": key[3],
-         "scenario": key[4], "cc": key[5], "abr": key[6],
-         "repair": key[7], "stream": key[8], "fast_path": key[9],
-         "code": code_fingerprint()},
-        sort_keys=True)
+def _entry_paths(spec: StudySpec, stream: bool) -> Tuple[Path, Path]:
+    """(pickle path, key sidecar path) for one study."""
+    material = json.dumps({"study": spec.fingerprint(), "stream": stream,
+                           "code": code_fingerprint()}, sort_keys=True)
     digest = hashlib.sha256(material.encode()).hexdigest()[:32]
     directory = cache_dir()
     return directory / f"{digest}.pkl", directory / f"{digest}.json"
 
 
-def _disk_load(key: StudyKey) -> Optional[StudyResults]:
-    """The stored sweep for ``key``, or None (missing/unreadable)."""
-    pickle_path, _ = _entry_paths(key)
+def _disk_load(spec: StudySpec, stream: bool) -> Optional[StudyResults]:
+    """The stored sweep for this study, or None (missing/unreadable)."""
+    pickle_path, _ = _entry_paths(spec, stream)
     try:
         with open(pickle_path, "rb") as handle:
             payload = pickle.load(handle)
@@ -188,10 +116,12 @@ def _disk_load(key: StudyKey) -> Optional[StudyResults]:
     return StudyResults(runs=payload)
 
 
-def _disk_store(key: StudyKey, study: StudyResults) -> None:
+def _disk_store(spec: StudySpec, stream: bool,
+                study: StudyResults) -> None:
     """Persist a sweep (runs plus any streaming summary — the telemetry
-    facade holds live clock closures and is never cached), atomically."""
-    pickle_path, key_path = _entry_paths(key)
+    facade holds live clock closures and is never cached), atomically,
+    beside a sidecar naming every spec field's fingerprint slot."""
+    pickle_path, key_path = _entry_paths(spec, stream)
     try:
         pickle_path.parent.mkdir(parents=True, exist_ok=True)
         tmp = pickle_path.with_suffix(".pkl.tmp")
@@ -200,12 +130,8 @@ def _disk_store(key: StudyKey, study: StudyResults) -> None:
                         handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, pickle_path)
         key_path.write_text(json.dumps(
-            {"seed": key[0], "duration_scale": key[1],
-             "loss_probability": key[2], "library": key[3],
-             "scenario": key[4], "cc": key[5], "abr": key[6],
-             "repair": key[7], "stream": key[8], "fast_path": key[9],
-             "code": code_fingerprint(),
-             "version": __version__, "runs": len(study)},
+            dict(spec.key(), stream=stream, code=code_fingerprint(),
+                 version=__version__, runs=len(study)),
             sort_keys=True, indent=2) + "\n")
     except OSError:
         # A read-only or full cache directory must never fail a study.
@@ -250,21 +176,20 @@ def disk_cache_entries() -> List[Dict[str, object]]:
 # The lookup everything goes through
 # ----------------------------------------------------------------------
 
-def load_or_run_study(seed: int = 2002, duration_scale: float = 1.0,
-                      loss_probability: float = 0.0,
-                      library: Optional[ClipLibrary] = None,
+def load_or_run_study(spec: Optional[StudySpec] = None, *,
                       jobs: int = 1,
-                      scenario: Optional[FaultScenario] = None,
-                      cc: Optional[CcConfig] = None,
-                      abr: Optional[AbrConfig] = None,
-                      repair: Optional[RepairConfig] = None,
-                      fast_path: Optional[FlowLevelConfig] = None,
                       stream: bool = False,
                       progress=None,
-                      ) -> Tuple[StudyResults, str]:
-    """The study for these parameters, plus where it came from.
+                      **options: object) -> Tuple[StudyResults, str]:
+    """The study for this spec, plus where it came from.
 
     Args:
+        spec: the :class:`~repro.experiments.spec.StudySpec` to load
+            or run; ``options`` are spec field names, folded into it
+            (or into a default one) once, here.
+        jobs: worker processes on a cache miss (see
+            :func:`~repro.experiments.runner.run_study`); not part of
+            the key, since every ``jobs`` value gives the same sweep.
         stream: fold the sweep into an online
             :class:`~repro.telemetry.streaming.StreamingSummary`; the
             summary is part of the cached payload (and of the key), so
@@ -279,14 +204,13 @@ def load_or_run_study(seed: int = 2002, duration_scale: float = 1.0,
         or ``"run"`` — the CLI surfaces it so cache behavior is visible
         from the terminal.
     """
-    key = study_key(seed, duration_scale, loss_probability, library,
-                    scenario, cc, abr, repair=repair, stream=stream,
-                    fast_path=fast_path)
+    spec = study_spec(spec, **options)
+    key = (spec.fingerprint(), stream)
     study = _CACHE.get(key)
     if study is not None:
         return study, "memory"
     if disk_cache_enabled():
-        study = _disk_load(key)
+        study = _disk_load(spec, stream)
         if study is not None:
             _CACHE[key] = study
             return study, "disk"
@@ -295,35 +219,17 @@ def load_or_run_study(seed: int = 2002, duration_scale: float = 1.0,
         from repro.telemetry.streaming import StreamingSummary
 
         summary = StreamingSummary()
-    study = run_study(library=library, seed=seed,
-                      duration_scale=duration_scale,
-                      loss_probability=loss_probability, jobs=jobs,
-                      scenario=scenario, cc=cc, abr=abr, repair=repair,
-                      fast_path=fast_path, stream=summary,
-                      progress=progress)
+    study = run_study(spec, jobs=jobs, stream=summary, progress=progress)
     _CACHE[key] = study
     if disk_cache_enabled():
-        _disk_store(key, study)
+        _disk_store(spec, stream, study)
     return study, "run"
 
 
-def get_study(seed: int = 2002, duration_scale: float = 1.0,
-              loss_probability: float = 0.0,
-              library: Optional[ClipLibrary] = None,
-              jobs: int = 1,
-              scenario: Optional[FaultScenario] = None,
-              cc: Optional[CcConfig] = None,
-              abr: Optional[AbrConfig] = None,
-              repair: Optional[RepairConfig] = None,
-              fast_path: Optional[FlowLevelConfig] = None,
-              stream: bool = False) -> StudyResults:
-    """The study for these parameters, running it on first request."""
-    study, _ = load_or_run_study(seed=seed, duration_scale=duration_scale,
-                                 loss_probability=loss_probability,
-                                 library=library, jobs=jobs,
-                                 scenario=scenario, cc=cc, abr=abr,
-                                 repair=repair, fast_path=fast_path,
-                                 stream=stream)
+def get_study(spec: Optional[StudySpec] = None, *, jobs: int = 1,
+              stream: bool = False, **options: object) -> StudyResults:
+    """The study for this spec, running it on first request."""
+    study, _ = load_or_run_study(spec, jobs=jobs, stream=stream, **options)
     return study
 
 

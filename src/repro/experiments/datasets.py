@@ -94,6 +94,17 @@ def build_table1_library(duration_scale: float = 1.0) -> ClipLibrary:
     return library
 
 
+def table1_set_library(duration_scale: float, number: int) -> ClipLibrary:
+    """A library holding only Table 1 set ``number`` (one-set studies).
+
+    Raises:
+        MediaError: for a set number Table 1 does not have.
+    """
+    library = ClipLibrary()
+    library.add_set(build_table1_library(duration_scale).get_set(number))
+    return library
+
+
 def table1_rows() -> List[List[object]]:
     """Table 1 rendered as rows (the Table 1 benchmark's output)."""
     rows: List[List[object]] = []

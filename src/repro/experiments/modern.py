@@ -26,7 +26,7 @@ those as one series per transport.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.distributions import percentile
@@ -37,7 +37,7 @@ from repro.cc.base import CcConfig, cc_names
 from repro.errors import ExperimentError
 from repro.experiments.cache import get_study
 from repro.experiments.runner import StudyResults
-from repro.media.library import ClipLibrary
+from repro.experiments.spec import StudySpec, study_spec
 
 __all__ = ["MODERN_TRANSPORTS", "ModernScorecard", "run_modern_scorecard",
            "render_modern_scorecard", "scorecard_svg"]
@@ -169,32 +169,29 @@ def _delivered_by_set(study: StudyResults) -> List[Tuple[float, float]]:
             for number, values in sorted(by_set.items())]
 
 
-def run_modern_scorecard(seed: int = 2002, duration_scale: float = 1.0,
-                         loss_probability: float = 0.0,
-                         library: Optional[ClipLibrary] = None,
+def run_modern_scorecard(spec: Optional[StudySpec] = None, *,
                          jobs: int = 1,
                          transports: Optional[Sequence[str]] = None,
-                         ) -> ModernScorecard:
+                         **options: object) -> ModernScorecard:
     """Run the study under every transport and tabulate the figures.
 
-    Each transport's study goes through :func:`get_study`, so the
-    ``2002`` column reuses the cached baseline sweep and re-invocations
-    are cheap.
+    ``spec`` (or ``options``, spec field names) is the baseline study;
+    each transport replaces its ``cc`` and ``abr``.  Each transport's
+    study goes through :func:`get_study`, so the ``2002`` column reuses
+    the cached baseline sweep and re-invocations are cheap.
 
     Raises:
         ExperimentError: for an unknown transport name.
     """
+    spec = study_spec(spec, **options)
     names = tuple(transports) if transports else MODERN_TRANSPORTS
     configs = {name: _transport_configs(name) for name in names}
-    card = ModernScorecard(transports=names, seed=seed,
-                           duration_scale=duration_scale)
+    card = ModernScorecard(transports=names, seed=spec.seed,
+                           duration_scale=spec.duration_scale)
     studies: Dict[str, StudyResults] = {}
     for name in names:
         cc, abr = configs[name]
-        studies[name] = get_study(seed=seed, duration_scale=duration_scale,
-                                  loss_probability=loss_probability,
-                                  library=library, jobs=jobs,
-                                  cc=cc, abr=abr)
+        studies[name] = get_study(replace(spec, cc=cc, abr=abr), jobs=jobs)
     for artifact, label, extract, suffix, digits in _METRICS:
         values = tuple(
             (name, _fmt(extract(studies[name]), suffix, digits))

@@ -51,8 +51,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cc.abr import AbrConfig
-from repro.cc.base import CcConfig
 from repro.experiments.progress import (
     PHASE_DONE,
     PHASE_START,
@@ -65,10 +63,7 @@ from repro.experiments.runner import (
     run_pair_experiment,
     study_conditions,
 )
-from repro.faults.scenario import FaultScenario
-from repro.media.library import ClipLibrary
-from repro.netsim.flowlevel import FlowLevelConfig
-from repro.repair.base import RepairConfig
+from repro.experiments.spec import StudySpec
 from repro.telemetry.core import Telemetry, TelemetrySnapshot
 from repro.telemetry.sinks import MemorySink, NullSink
 from repro.telemetry.spans import SpanRecorder
@@ -77,11 +72,11 @@ from repro.telemetry.streaming import StreamingSink, StreamingSummary
 
 @dataclass(frozen=True)
 class _WorkerSpec:
-    """Everything a worker needs, pickled once per worker at pool init."""
+    """Everything a worker needs, shipped with every task."""
 
-    library: ClipLibrary
-    seed: int
-    loss_probability: float
+    #: The study itself, its library resolved; pure data, so shipping
+    #: it reproduces the sequential pair runs exactly.
+    study: StudySpec
     #: Parent facade shape, mirrored per worker: a registry is always
     #: built when the parent has one; event capture and span recording
     #: only when the parent would actually consume them.
@@ -89,17 +84,6 @@ class _WorkerSpec:
     events: bool
     spans: bool
     series_limit: int
-    #: Fault schedule applied to every run; pure data, so shipping it
-    #: in the spec reproduces the sequential controller exactly.
-    scenario: Optional[FaultScenario] = None
-    #: Transport configs (repro.cc); frozen dataclasses, pure data.
-    cc: Optional[CcConfig] = None
-    abr: Optional[AbrConfig] = None
-    #: Loss-repair config (repro.repair); frozen dataclass, pure data.
-    repair: Optional[RepairConfig] = None
-    #: Flow-level fast-path config (repro.netsim.flowlevel); frozen
-    #: dataclass, pure data — each worker builds its own director.
-    fast_path: Optional[FlowLevelConfig] = None
     #: Streaming-summary template: workers never fold into it, they
     #: ``spawn()`` a fresh per-run summary with its configuration and
     #: ship that home on the snapshot.
@@ -141,11 +125,12 @@ def _run_index(spec: _WorkerSpec, index: int
     initializer) so one persistent pool can serve studies with
     different configurations back to back.
     """
-    pairs = spec.library.all_pairs()
+    study = spec.study
+    pairs = study.library.all_pairs()
     clip_set, pair = pairs[index]
     label = f"set{clip_set.number}-{pair.band.short}"
-    conditions = study_conditions(spec.seed, index,
-                                  loss_probability=spec.loss_probability)
+    conditions = study_conditions(study.seed, index,
+                                  loss_probability=study.loss_probability)
     telemetry = _worker_telemetry(spec)
     if telemetry is not None and spec.metrics:
         telemetry.set_context(run=label)
@@ -156,11 +141,9 @@ def _run_index(spec: _WorkerSpec, index: int
     if spec.stream is not None:
         per_run = spec.stream.spawn()
         telemetry.bus.attach(StreamingSink(per_run))
-    result = run_pair_experiment(clip_set, pair, seed=spec.seed + index,
+    result = run_pair_experiment(clip_set, pair, seed=study.seed + index,
                                  conditions=conditions, telemetry=telemetry,
-                                 scenario=spec.scenario, cc=spec.cc,
-                                 abr=spec.abr, repair=spec.repair,
-                                 fast_path=spec.fast_path)
+                                 spec=study)
     snapshot: Optional[TelemetrySnapshot] = None
     if telemetry is not None:
         if per_run is not None and telemetry.spans is not None:
@@ -245,42 +228,34 @@ def _drain_heartbeats(heartbeats, progress: ProgressCallback) -> None:
         progress(beat)
 
 
-def run_study_parallel(library: ClipLibrary, seed: int,
-                       loss_probability: float,
+def run_study_parallel(spec: StudySpec,
                        telemetry: Optional[Telemetry],
                        jobs: int,
-                       scenario: Optional[FaultScenario] = None,
-                       cc: Optional[CcConfig] = None,
-                       abr: Optional[AbrConfig] = None,
-                       repair: Optional[RepairConfig] = None,
-                       fast_path: Optional[FlowLevelConfig] = None,
                        stream: Optional[StreamingSummary] = None,
                        progress: Optional[ProgressCallback] = None
                        ) -> StudyResults:
     """Fan a sweep's pair runs across ``jobs`` worker processes.
 
-    Called by :func:`~repro.experiments.runner.run_study` when
-    ``jobs > 1``; produces results identical to the sequential path
-    (same runs in the same order, same merged telemetry, same
-    streaming-summary bytes).  The worker pool outlives the call (see
+    Called by :func:`~repro.experiments.runner.run_study` (which
+    resolves ``spec.library``) when ``jobs > 1``; produces results
+    identical to the sequential path (same runs in the same order, same
+    merged telemetry, same streaming-summary bytes).  The worker pool outlives the call (see
     module docstring); only the heartbeat manager, when progress is
     requested, is per-study.
     """
-    pairs = library.all_pairs()
+    pairs = spec.library.all_pairs()
     manager = None
     heartbeats = None
     if progress is not None:
         manager = _pool_context().Manager()
         heartbeats = manager.Queue()
-    spec = _WorkerSpec(
-        library=library, seed=seed, loss_probability=loss_probability,
-        metrics=telemetry is not None,
+    task = _WorkerSpec(
+        study=spec, metrics=telemetry is not None,
         events=telemetry is not None and telemetry.bus.active,
         spans=telemetry is not None and telemetry.spans is not None,
         series_limit=(telemetry.registry._series_limit
                       if telemetry is not None else 0),
-        scenario=scenario, cc=cc, abr=abr, repair=repair,
-        fast_path=fast_path, stream=stream, heartbeats=heartbeats)
+        stream=stream, heartbeats=heartbeats)
     outcomes: List[Tuple[PairRunResult, Optional[TelemetrySnapshot]]]
     try:
         pool = _ensure_pool(min(jobs, len(pairs)))
@@ -288,7 +263,7 @@ def run_study_parallel(library: ClipLibrary, seed: int,
         # modes; submission order is library order, and results are
         # gathered from the future list in that order, which is the
         # whole determinism guarantee.
-        futures = [pool.submit(_run_index, spec, index)
+        futures = [pool.submit(_run_index, task, index)
                    for index in range(len(pairs))]
         if heartbeats is not None:
             pending = set(futures)

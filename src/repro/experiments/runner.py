@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.capture.sniffer import Sniffer
@@ -24,10 +24,10 @@ from repro.core.turbulence import TurbulenceProfile
 from repro.errors import ExperimentError
 from repro.experiments.conditions import NetworkConditions, sample_conditions
 from repro.experiments.datasets import build_table1_library
+from repro.experiments.spec import StudySpec, study_spec
 from repro.faults.controller import FaultController
-from repro.faults.scenario import FaultScenario
 from repro.media.clip import Clip
-from repro.media.library import ClipLibrary, ClipPair, ClipSet, RateBand
+from repro.media.library import ClipPair, ClipSet, RateBand
 from repro.netsim.addressing import IPAddress
 from repro.netsim.engine import Simulator
 from repro.netsim.rng import RandomStreams
@@ -54,10 +54,7 @@ from repro.tools.stability import StabilityVerdict, verify_stability
 from repro.tools.tracert import TracerouteReport, run_tracert
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cc.abr import AbrConfig
-    from repro.cc.base import CcConfig
-    from repro.netsim.flowlevel import FastPathSummary, FlowLevelConfig
-    from repro.repair.base import RepairConfig
+    from repro.netsim.flowlevel import FastPathSummary
     from repro.validate.checker import RunValidator
 
 #: Below this many pair runs a parallel request silently downgrades to
@@ -65,6 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: win on small sweeps (BENCH_substrate.json: the 13-run study at
 #: default size gains from workers, a 2-run one-set sweep does not).
 PARALLEL_MIN_RUNS = 6
+
+#: Seconds of media both players buffer before playout starts.
+PREROLL_SECONDS = 5.0
 
 
 @dataclass
@@ -187,15 +187,10 @@ def _fault_links(topology: PathTopology,
 
 def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
                         conditions: Optional[NetworkConditions] = None,
-                        preroll_seconds: float = 5.0,
                         telemetry: Optional[Telemetry] = None,
-                        scenario: Optional[FaultScenario] = None,
                         validate: Optional["RunValidator"] = None,
-                        cc: Optional["CcConfig"] = None,
-                        abr: Optional["AbrConfig"] = None,
-                        repair: Optional["RepairConfig"] = None,
-                        fast_path: Optional["FlowLevelConfig"] = None,
-                        ) -> PairRunResult:
+                        spec: Optional[StudySpec] = None,
+                        **options: object) -> PairRunResult:
     """Run the simultaneous-stream methodology for one clip pair.
 
     Args:
@@ -205,45 +200,17 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
         telemetry: optional facade; bound to this run's simulator so
             every instrumented layer (links, IP, pacers, buffers)
             reports into it.
-        scenario: optional fault schedule.  Attaching one also arms the
-            whole robustness stack — failure-aware routing, TCP
-            retransmission, server media scaling, and player graceful
-            degradation — none of which is active (or costs a single
-            scheduled event) on a plain run.
         validate: optional :class:`~repro.validate.checker.RunValidator`;
             its invariant sweep runs once the streams are done (after
             the post-run stability check, before results assemble).
             Validation schedules nothing, so the run itself is
             byte-identical with or without it.
-        cc: optional :class:`~repro.cc.CcConfig`.  A non-null config
-            arms the congestion-control stack: receiver reports flow at
-            the config's feedback interval, payloads carry send stamps,
-            and a per-session controller throttles each pacer.  ``None``
-            — or the null controller — arms *nothing*, keeping the run
-            byte-identical to the 2002 code path.
-        abr: optional :class:`~repro.cc.AbrConfig`.  Replaces both
-            2002 server/player pairs with the segment-ladder ABR
-            transport (same stats schema, same REAL/WMP labels).
-            Mutually exclusive with ``cc``.
-        repair: optional :class:`~repro.repair.RepairConfig`.  A
-            non-null config arms the loss-repair stack on both 2002
-            server/player pairs: servers emit XOR parity and answer
-            NACKs, players decode and request retransmissions.
-            ``None`` — or the null config — arms nothing, keeping the
-            run byte-identical to the unrepaired code path.  The ABR
-            transport has its own segment retry loop and never arms
-            repair.
-        fast_path: optional
-            :class:`~repro.netsim.flowlevel.FlowLevelConfig`.  Delivers
-            analytically-tractable packet trains in closed form instead
-            of event-per-packet (see :mod:`repro.netsim.flowlevel`),
-            falling back to packet-level per train whenever contention,
-            loss, faults, cross traffic, or an active congestion
-            controller make the model invalid.  ``None`` (the default)
-            keeps the run byte-identical to a pre-fast-path build.
-            Mutually exclusive with ``abr`` and an armed ``repair``
-            (their control loops key on per-packet timing that the
-            analytic model does not reproduce).
+        spec: the study's :class:`~repro.experiments.spec.StudySpec`,
+            whose fields document what each option arms; a pair run
+            reads only its option fields (``seed`` and ``conditions``
+            above are the run's own).  ``options`` are spec field
+            names (``scenario=``, ``fast_path=``, ...), folded into
+            ``spec`` (or a default one) once, here.
 
     Raises:
         ExperimentError: if a stream never finishes within the safety
@@ -251,26 +218,16 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
             Under a fault scenario, congestion control, or ABR an
             unfinished stream is an expected outcome and is finalized
             deterministically instead.
+            Also raised by the spec for an option combination no run
+            can honor.
         ValidationError: if ``validate`` finds violations and is
             configured to raise.
     """
-    if cc is not None and abr is not None:
-        raise ExperimentError(
-            "cc and abr are mutually exclusive transports; pick one")
-    cc_armed = cc is not None and not cc.is_null
-    repair_armed = (repair is not None and not repair.is_null
-                    and abr is None)
-    if fast_path is not None and abr is not None:
-        raise ExperimentError(
-            "fast_path and abr are mutually exclusive: the ABR request "
-            "loop keys on per-segment timing the analytic model does "
-            "not reproduce")
-    if fast_path is not None and repair_armed:
-        raise ExperimentError(
-            "fast_path requires a null repair config: loss repair only "
-            "matters on lossy paths, which the fast path refuses anyway")
+    spec = study_spec(spec, **options)
+    scenario, cc, abr, repair = spec.scenario, spec.cc, spec.abr, spec.repair
+    cc_armed, repair_armed = spec.cc_armed, spec.repair_armed
     sim = Simulator(seed=seed, telemetry=telemetry, validate=validate,
-                    fast_path=fast_path)
+                    fast_path=spec.fast_path)
     if conditions is None:
         conditions = sample_conditions(sim.streams.stream("conditions"))
     topology = build_path_topology(
@@ -333,23 +290,23 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
         abr_robustness = robustness or PlayerRobustness()
         real_player = AbrTracker(topology.client, real_host.address,
                                  family=PlayerFamily.REAL, config=abr,
-                                 preroll_seconds=preroll_seconds,
+                                 preroll_seconds=PREROLL_SECONDS,
                                  feedback_interval=feedback or 1.0,
                                  robustness=abr_robustness)
         wmp_player = AbrTracker(topology.client, wmp_host.address,
                                 family=PlayerFamily.WMP, config=abr,
-                                preroll_seconds=preroll_seconds,
+                                preroll_seconds=PREROLL_SECONDS,
                                 feedback_interval=feedback or 1.0,
                                 robustness=abr_robustness)
     else:
         player_repair = repair if repair_armed else None
         real_player = RealTracker(topology.client, real_host.address,
-                                  preroll_seconds=preroll_seconds,
+                                  preroll_seconds=PREROLL_SECONDS,
                                   feedback_interval=feedback,
                                   robustness=robustness,
                                   repair=player_repair)
         wmp_player = MediaTracker(topology.client, wmp_host.address,
-                                  preroll_seconds=preroll_seconds,
+                                  preroll_seconds=PREROLL_SECONDS,
                                   feedback_interval=feedback,
                                   robustness=robustness,
                                   repair=player_repair)
@@ -428,27 +385,26 @@ def study_conditions(seed: int, index: int,
     return sample_conditions(rng, loss_probability=loss_probability)
 
 
-def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
-              duration_scale: float = 1.0,
-              loss_probability: float = 0.0,
+def run_study(spec: Optional[StudySpec] = None, *,
               telemetry: Optional[Telemetry] = None,
               jobs: int = 1,
-              scenario: Optional[FaultScenario] = None,
               validate: Optional["RunValidator"] = None,
-              cc: Optional["CcConfig"] = None,
-              abr: Optional["AbrConfig"] = None,
-              repair: Optional["RepairConfig"] = None,
-              fast_path: Optional["FlowLevelConfig"] = None,
               min_parallel_runs: int = PARALLEL_MIN_RUNS,
               stream: Optional[StreamingSummary] = None,
-              progress: Optional[ProgressCallback] = None) -> StudyResults:
+              progress: Optional[ProgressCallback] = None,
+              **options: object) -> StudyResults:
     """Run the full Table 1 sweep (the corpus behind every figure).
 
     Args:
-        library: clip library; defaults to Table 1.
-        seed: master seed; run ``i`` uses ``seed + i``.
-        duration_scale: shorten clips (tests) or keep them full (1.0).
-        loss_probability: middle-link loss for congestion studies.
+        spec: what to sweep — a
+            :class:`~repro.experiments.spec.StudySpec` (library, master
+            seed, duration scale, loss, and the opt-in options applied
+            to every pair run; run ``i`` uses ``seed + i``).
+            ``options`` are spec field names (``seed=``,
+            ``library=``, ``fast_path=``, ...), folded into ``spec``
+            (or a default one) once, here.  Every option is pure data,
+            so pool workers rebuild their fault controllers, repair
+            stacks and directors from the spec independently.
         telemetry: optional shared facade.  One registry and one event
             bus serve every pair run; a ``run=<label>`` context label
             keeps the runs' instruments apart, and the facade comes
@@ -460,27 +416,11 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
             execution — runs merge back in library order, and worker
             telemetry folds into the shared facade post-hoc (the
             facade's profiler, being wall-clock, stays parent-only).
-        scenario: optional fault schedule applied to *every* pair run
-            of the sweep (the scenario is pure data, so workers rebuild
-            their fault controllers from it independently).
         validate: optional :class:`~repro.validate.checker.RunValidator`
             shared by every pair run of the sweep; each run gets an
             invariant sweep at its end.  Sequential execution only —
             the validator holds live object references and cannot
             cross a process boundary.
-        cc: optional :class:`~repro.cc.CcConfig` applied to every pair
-            run (see :func:`run_pair_experiment`).
-        abr: optional :class:`~repro.cc.AbrConfig`: run the sweep over
-            the ABR transport instead of the 2002 servers.
-        repair: optional :class:`~repro.repair.RepairConfig` applied to
-            every pair run (see :func:`run_pair_experiment`); pure
-            data, so pool workers arm their repair stacks from it
-            independently.
-        fast_path: optional
-            :class:`~repro.netsim.flowlevel.FlowLevelConfig` applied to
-            every pair run (see :func:`run_pair_experiment`); a frozen
-            dataclass of pure data, so pool workers build their own
-            directors from it independently.
         min_parallel_runs: sweeps smaller than this auto-downgrade a
             ``jobs > 1`` request to sequential execution (fork overhead
             beats the win on small sweeps); the decision lands on
@@ -499,12 +439,16 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
             the sequential loop or relayed from pool workers.
 
     Raises:
-        ExperimentError: for ``validate`` combined with ``jobs > 1``.
+        ExperimentError: for ``validate`` combined with ``jobs > 1``,
+            and from the spec for an option combination no run can
+            honor.
     """
-    if library is None:
-        library = build_table1_library(duration_scale=duration_scale)
+    spec = study_spec(spec, **options)
+    if spec.library is None:
+        spec = replace(spec, library=build_table1_library(
+            duration_scale=spec.duration_scale))
     jobs = resolve_jobs(jobs)
-    pairs = library.all_pairs()
+    pairs = spec.library.all_pairs()
     if validate is not None and jobs > 1:
         raise ExperimentError(
             "validation requires sequential execution (jobs=1): the "
@@ -515,12 +459,9 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
         if len(pairs) >= min_parallel_runs:
             from repro.experiments.parallel import run_study_parallel
 
-            results = run_study_parallel(library, seed=seed,
-                                         loss_probability=loss_probability,
-                                         telemetry=telemetry, jobs=jobs,
-                                         scenario=scenario, cc=cc, abr=abr,
-                                         repair=repair, fast_path=fast_path,
-                                         stream=stream, progress=progress)
+            results = run_study_parallel(spec, telemetry=telemetry,
+                                         jobs=jobs, stream=stream,
+                                         progress=progress)
             results.execution = f"parallel jobs={jobs}"
             return results
         execution = (f"sequential (auto-downgraded from jobs={jobs}: "
@@ -534,8 +475,8 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
         facade = Telemetry(sinks=[])
     total = len(pairs)
     for index, (clip_set, pair) in enumerate(pairs):
-        conditions = study_conditions(seed, index,
-                                      loss_probability=loss_probability)
+        conditions = study_conditions(
+            spec.seed, index, loss_probability=spec.loss_probability)
         label = f"set{clip_set.number}-{pair.band.short}"
         if telemetry is not None:
             telemetry.set_context(run=label)
@@ -553,9 +494,9 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
             facade.bus.attach(sink)
         try:
             results.runs.append(run_pair_experiment(
-                clip_set, pair, seed=seed + index, conditions=conditions,
-                telemetry=facade, scenario=scenario, validate=validate,
-                cc=cc, abr=abr, repair=repair, fast_path=fast_path))
+                clip_set, pair, seed=spec.seed + index,
+                conditions=conditions, telemetry=facade,
+                validate=validate, spec=spec))
         finally:
             if sink is not None:
                 facade.bus.detach(sink)

@@ -25,20 +25,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.capture import serialize
-from repro.cc.abr import AbrConfig
-from repro.cc.base import CcConfig
 from repro.experiments.cache import (
     CACHE_DIR_ENV,
     CACHE_ENV,
     _disk_load,
     _disk_store,
-    study_key,
 )
 from repro.experiments.runner import StudyResults, run_study
-from repro.faults.scenario import FaultScenario
-from repro.media.library import ClipLibrary
+from repro.experiments.spec import StudySpec, study_spec
 from repro.players import logging as tracker_logging
-from repro.repair.base import RepairConfig
 from repro.telemetry.core import Telemetry
 from repro.telemetry.exporters import to_json
 from repro.telemetry.sinks import MemorySink, encode_event
@@ -51,10 +46,12 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _fresh_telemetry() -> Telemetry:
-    """A facade capturing everything a study emits, unbounded."""
+def _fresh_telemetry(spec: Optional[StudySpec] = None) -> Telemetry:
+    """A facade capturing everything a study of ``spec`` emits,
+    unbounded — span-free when the spec does not allow span tracing."""
+    spans = spec is None or spec.allows_spans
     return Telemetry(sinks=[MemorySink(capacity=None)],
-                     spans=SpanRecorder())
+                     spans=SpanRecorder() if spans else None)
 
 
 def study_surface(study: StudyResults,
@@ -145,15 +142,12 @@ def _compare(report: DifferentialReport, name: str,
                 f"{name}: unexpected extra surface {key}")
 
 
-def run_differential(seed: int = 2002, duration_scale: float = 1.0,
-                     loss_probability: float = 0.0, jobs: int = 2,
-                     library: Optional[ClipLibrary] = None,
-                     scenario: Optional[FaultScenario] = None,
-                     cc: Optional[CcConfig] = None,
-                     abr: Optional[AbrConfig] = None,
-                     repair: Optional[RepairConfig] = None,
-                     ) -> DifferentialReport:
+def run_differential(spec: Optional[StudySpec] = None, *, jobs: int = 2,
+                     **options: object) -> DifferentialReport:
     """Run one seeded study three ways and diff every surface.
+
+    ``spec`` (or ``options``, spec field names folded into it once,
+    here) is the study; every leg runs it whole.
 
     Legs:
 
@@ -168,15 +162,12 @@ def run_differential(seed: int = 2002, duration_scale: float = 1.0,
         A :class:`DifferentialReport`; ``report.ok`` is False on any
         digest mismatch.
     """
+    spec = study_spec(spec, **options)
     report = DifferentialReport()
 
-    telemetry_seq = _fresh_telemetry()
-    study_seq = run_study(library=library, seed=seed,
-                          duration_scale=duration_scale,
-                          loss_probability=loss_probability,
-                          telemetry=telemetry_seq, jobs=1,
-                          scenario=scenario, cc=cc, abr=abr,
-                          repair=repair, stream=StreamingSummary())
+    telemetry_seq = _fresh_telemetry(spec)
+    study_seq = run_study(spec, telemetry=telemetry_seq, jobs=1,
+                          stream=StreamingSummary())
     reference = study_surface(study_seq, telemetry_seq)
     report.legs["sequential"] = reference
 
@@ -195,14 +186,9 @@ def run_differential(seed: int = 2002, duration_scale: float = 1.0,
                 f"{study_seq.streaming.fingerprint()}) != refold of the "
                 f"buffered stream ({refold.fingerprint()})")
 
-    telemetry_par = _fresh_telemetry()
-    study_par = run_study(library=library, seed=seed,
-                          duration_scale=duration_scale,
-                          loss_probability=loss_probability,
-                          telemetry=telemetry_par, jobs=max(2, jobs),
-                          scenario=scenario, cc=cc, abr=abr,
-                          repair=repair, min_parallel_runs=0,
-                          stream=StreamingSummary())
+    telemetry_par = _fresh_telemetry(spec)
+    study_par = run_study(spec, telemetry=telemetry_par, jobs=max(2, jobs),
+                          min_parallel_runs=0, stream=StreamingSummary())
     parallel = study_surface(study_par, telemetry_par)
     report.legs["parallel"] = parallel
     _compare(report, "parallel", reference, parallel, require_all=True)
@@ -210,16 +196,14 @@ def run_differential(seed: int = 2002, duration_scale: float = 1.0,
     # Cache leg: push the sequential sweep through the disk layer's
     # pickle round-trip in an isolated directory so the user's real
     # cache is neither consulted nor polluted.
-    key = study_key(seed, duration_scale, loss_probability, library,
-                    scenario, cc, abr, repair=repair, stream=True)
     saved = {name: os.environ.get(name)
              for name in (CACHE_ENV, CACHE_DIR_ENV)}
     with tempfile.TemporaryDirectory(prefix="repro-validate-") as tmp:
         os.environ[CACHE_DIR_ENV] = tmp
         os.environ.pop(CACHE_ENV, None)
         try:
-            _disk_store(key, study_seq)
-            study_cached = _disk_load(key)
+            _disk_store(spec, True, study_seq)
+            study_cached = _disk_load(spec, True)
         finally:
             for name, value in saved.items():
                 if value is None:

@@ -26,13 +26,12 @@ from typing import Dict, List, Optional
 from repro._version import __version__
 from repro.cc.abr import AbrConfig
 from repro.cc.base import CcConfig
-from repro.experiments.datasets import build_table1_library
+from repro.experiments.datasets import table1_set_library
 from repro.experiments.runner import run_study
+from repro.experiments.spec import StudySpec
 from repro.faults.scenario import build_scenario
-from repro.media.library import ClipLibrary
 from repro.netsim.flowlevel import FlowLevelConfig
 from repro.repair.base import RepairConfig
-from repro.telemetry import MemorySink, Telemetry
 from repro.telemetry.streaming import StreamingSummary
 from repro.validate.differential import _fresh_telemetry, study_surface
 
@@ -63,6 +62,20 @@ class GoldenScenario:
     abr: bool = False  # run on the ABR segment-ladder transport
     repair: bool = False  # arm the default loss-repair stack
     fast_path: bool = False  # deliver via the flow-level fast path
+
+    def spec(self) -> StudySpec:
+        """The study this scenario pins: one clip set, its options."""
+        return StudySpec(
+            library=table1_set_library(self.duration_scale,
+                                       self.set_number),
+            seed=self.seed, duration_scale=self.duration_scale,
+            scenario=(build_scenario(self.fault, self.seed)
+                      if self.fault is not None else None),
+            cc=CcConfig(kind=self.cc) if self.cc is not None else None,
+            abr=AbrConfig() if self.abr else None,
+            repair=RepairConfig() if self.repair else None,
+            fast_path=FlowLevelConfig(strict=True) if self.fast_path
+            else None)
 
 
 GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
@@ -122,13 +135,6 @@ def golden_path(name: str, directory: Optional[Path] = None) -> Path:
     return directory / f"{name}.json"
 
 
-def _scenario_library(scenario: GoldenScenario) -> ClipLibrary:
-    full = build_table1_library(duration_scale=scenario.duration_scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(scenario.set_number))
-    return library
-
-
 def compute_golden(scenario: GoldenScenario) -> Dict[str, object]:
     """Run the scenario and return its golden document.
 
@@ -136,22 +142,9 @@ def compute_golden(scenario: GoldenScenario) -> Dict[str, object]:
     drifted definition (changed seed, different set) is distinguishable
     from a behavioral regression.
     """
-    fault = (build_scenario(scenario.fault, scenario.seed)
-             if scenario.fault is not None else None)
-    cc = CcConfig(kind=scenario.cc) if scenario.cc is not None else None
-    abr = AbrConfig() if scenario.abr else None
-    repair = RepairConfig() if scenario.repair else None
-    fast_path = FlowLevelConfig(strict=True) if scenario.fast_path else None
-    if scenario.fast_path:
-        # The director refuses span tracing (it skips the per-hop
-        # events spans are built from), so this surface is span-free.
-        telemetry = Telemetry(sinks=[MemorySink(capacity=None)])
-    else:
-        telemetry = _fresh_telemetry()
-    study = run_study(library=_scenario_library(scenario),
-                      seed=scenario.seed, telemetry=telemetry,
-                      jobs=1, scenario=fault, cc=cc, abr=abr,
-                      repair=repair, fast_path=fast_path,
+    spec = scenario.spec()
+    telemetry = _fresh_telemetry(spec)
+    study = run_study(spec, telemetry=telemetry, jobs=1,
                       stream=StreamingSummary())
     return {
         "schema": GOLDEN_SCHEMA,

@@ -287,6 +287,10 @@ class TestBadArgumentExitCodes:
         (["scorecard", "--modern", "--jobs", "-1"], "--jobs"),
         (["scorecard", "--modern", "--transports", "2002,quic"],
          "unknown transport"),
+        (["validate", "--cc", "aimd", "--abr"], "mutually exclusive"),
+        (["validate", "--fast-path", "--abr"], "mutually exclusive"),
+        (["validate", "--fast-path", "strict", "--repair"],
+         "null repair config"),
     ])
     def test_bad_argument_exits_two(self, argv, needle, capsys):
         assert main(argv) == 2
@@ -323,6 +327,23 @@ def _run_repro(argv, env_extra=None, timeout=120):
     return subprocess.run([sys.executable, "-m", "repro"] + argv,
                           capture_output=True, text=True, env=env,
                           timeout=timeout)
+
+
+class TestOptionCombinations:
+    """A spec the constructor refuses exits 2 with its message."""
+
+    @pytest.mark.parametrize("options", [
+        ["--cc", "aimd", "--abr"],
+        ["--fast-path", "--abr"],
+        ["--fast-path", "--repair"],
+    ], ids=lambda options: "+".join(o.strip("-") for o in options))
+    def test_bad_combination_exits_two_without_traceback(self, options):
+        done = _run_repro(["validate", "--set", "3", "--scale", "0.04"]
+                          + options)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ")
+        assert done.stdout == ""
 
 
 class TestNonFiniteScale:

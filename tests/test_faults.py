@@ -272,17 +272,16 @@ class TestEosLossFallback:
 
 class TestScenarioCaching:
     def test_cache_key_incorporates_scenario(self):
-        from repro.experiments.cache import study_key
+        from repro.experiments.spec import StudySpec
+
+        def key(scenario):
+            return StudySpec(seed=SEED, scenario=scenario).fingerprint()
 
         flap = build_scenario("link-flap", SEED)
         degrade = build_scenario("degrade", SEED)
-        keys = {study_key(SEED, 1.0, 0.0, None, None),
-                study_key(SEED, 1.0, 0.0, None, flap),
-                study_key(SEED, 1.0, 0.0, None, degrade)}
+        keys = {key(None), key(flap), key(degrade)}
         assert len(keys) == 3
-        assert (study_key(SEED, 1.0, 0.0, None, flap)
-                == study_key(SEED, 1.0, 0.0, None,
-                             build_scenario("link-flap", SEED)))
+        assert key(flap) == key(build_scenario("link-flap", SEED))
 
 
 class TestFaultsCli:

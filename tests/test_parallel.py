@@ -21,7 +21,6 @@ from repro.experiments.cache import (
     clear_disk_cache,
     disk_cache_entries,
     load_or_run_study,
-    study_key,
 )
 from repro.experiments.conditions import sample_conditions
 from repro.experiments.datasets import build_table1_library
@@ -30,6 +29,7 @@ from repro.experiments.runner import (
     run_study,
     study_conditions,
 )
+from repro.experiments.spec import StudySpec
 from repro.media.library import ClipLibrary
 from repro.netsim.engine import Simulator
 from repro.telemetry import (
@@ -232,20 +232,23 @@ class TestDiskCache:
         assert source == "run"
 
 
+def _fingerprint(library, seed=9, duration_scale=0.03):
+    return StudySpec(library=library, seed=seed,
+                     duration_scale=duration_scale).fingerprint()
+
+
 class TestStudyKeying:
-    """Satellite: one keying helper serves both cache layers."""
+    """One spec fingerprint keys both cache layers."""
 
     def test_key_is_shared_and_stable(self):
         library = one_set_library(1)
-        assert study_key(9, 0.03, 0.0, library) == \
-            study_key(9, 0.03, 0.0, one_set_library(1))
-        assert study_key(9, 0.03, 0.0, None) == \
-            study_key(9, 0.03, 0.0, None)
+        assert _fingerprint(library) == _fingerprint(one_set_library(1))
+        assert _fingerprint(None) == _fingerprint(None)
 
     def test_libraries_with_equal_scalars_never_alias(self):
         # Same (seed, scale, loss), different content: distinct keys.
-        assert study_key(9, 0.03, 0.0, one_set_library(1)) != \
-            study_key(9, 0.03, 0.0, one_set_library(2))
+        assert _fingerprint(one_set_library(1)) != \
+            _fingerprint(one_set_library(2))
 
     def test_disk_layer_keeps_libraries_apart(self, disk_cache):
         scalars = dict(seed=9, duration_scale=0.03)

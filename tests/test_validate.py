@@ -9,6 +9,7 @@ from repro.experiments.runner import run_study
 from repro.media.library import ClipLibrary
 from repro.netsim.addressing import IPAddress
 from repro.netsim.engine import Simulator
+from repro.netsim.flowlevel import FlowLevelConfig
 from repro.netsim.link import Link
 from repro.netsim.node import Host
 from repro.netsim.queues import DropTailQueue
@@ -191,6 +192,48 @@ class TestDifferentialReport:
         assert not report.ok
         assert "1 divergence" in report.summary()
         assert "! parallel" in report.summary()
+
+
+class TestFastPathDifferential:
+    """``--study --fast-path`` runs the fast path on every leg."""
+
+    @pytest.mark.parametrize("strict", [False, True],
+                             ids=["on", "strict"])
+    def test_every_leg_runs_the_fast_path(self, strict, monkeypatch):
+        import repro.validate.differential as differential
+
+        legs = []
+        plain_run_study = differential.run_study
+
+        def spy(spec, **kwargs):
+            study = plain_run_study(spec, **kwargs)
+            legs.append((spec, kwargs["telemetry"], study))
+            return study
+
+        monkeypatch.setattr(differential, "run_study", spy)
+        config = FlowLevelConfig(strict=strict)
+        report = differential.run_differential(
+            library=one_set_library(), seed=SEED, duration_scale=SCALE,
+            fast_path=config)
+        assert report.ok, report.summary()
+        # Sequential and parallel simulate; the cache leg reloads the
+        # sequential sweep.
+        assert len(legs) == 2
+        for spec, telemetry, study in legs:
+            assert spec.fast_path == config
+            assert telemetry.spans is None
+            assert all(run.fastpath is not None for run in study)
+        for surfaces in report.legs.values():
+            assert "telemetry.spans" not in surfaces
+
+    def test_header_names_the_transport(self, capsys):
+        assert main(["validate", "--study", "--set", "3",
+                     "--scale", str(SCALE), "--seed", str(SEED),
+                     "--fast-path", "strict"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"# differential oracle (seed {SEED}, "
+                              f"scale {SCALE}, fast-path strict)")
+        assert "all execution paths agree" in out
 
 
 class TestValidateCli:
